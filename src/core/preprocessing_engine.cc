@@ -6,6 +6,9 @@
 namespace hgpcn
 {
 
+static_assert(TemporalPreprocessState::kDefaultKey == -1,
+              "buildStage's default carry_key must be the unkeyed slot");
+
 PreprocessResult
 PreprocessingEngine::process(const PointCloud &raw, std::size_t k) const
 {
@@ -20,7 +23,8 @@ PreprocessingEngine::process(const PointCloud &raw, std::size_t k) const
 
 PreprocessResult
 PreprocessingEngine::buildStage(const PointCloud &raw,
-                                TemporalPreprocessState *carry) const
+                                TemporalPreprocessState *carry,
+                                std::int64_t carry_key) const
 {
     PreprocessResult result;
 
@@ -36,7 +40,7 @@ PreprocessingEngine::buildStage(const PointCloud &raw,
                     cfg.octree.leafCapacity,
             "carry octree config does not match the engine's");
         std::shared_ptr<PreprocessBundle> bundle =
-            carry->processFrame(raw);
+            carry->processFrame(raw, carry_key);
         result.tree =
             std::shared_ptr<Octree>(bundle, &bundle->tree);
         if (bundle->rawKnnBuilt) {

@@ -17,6 +17,7 @@
 #ifndef HGPCN_CORE_PREPROCESSING_ENGINE_H
 #define HGPCN_CORE_PREPROCESSING_ENGINE_H
 
+#include <cstdint>
 #include <memory>
 
 #include "knn/spatial_hash_knn.h"
@@ -123,10 +124,14 @@ class PreprocessingEngine
      *   incrementally when frames cohere. Output is bit-identical
      *   to the carry-less path; its octree config must match this
      *   engine's.
+     * @param carry_key The frame's sensor id: the carry diffs the
+     *   frame against the last frame built under the same key. The
+     *   default (TemporalPreprocessState::kDefaultKey) is the one
+     *   slot of an unkeyed stream.
      */
     PreprocessResult buildStage(const PointCloud &raw,
-                                TemporalPreprocessState *carry =
-                                    nullptr) const;
+                                TemporalPreprocessState *carry = nullptr,
+                                std::int64_t carry_key = -1) const;
 
     /**
      * Down-sampling Unit half (FPGA): OIS-FPS @p partial's octree

@@ -22,6 +22,8 @@ struct FrameAttribution
     bool knnIncremental = false;
     bool occIncremental = false;
     bool indicesCached = false;
+    CellWork knnCells;
+    CellWork occCells;
 };
 
 /** Mirror one frame's outcome into "temporal.*" counters. */
@@ -46,6 +48,12 @@ recordMetrics(MetricsRegistry &reg, const FrameAttribution &fa)
         reg.counter(fa.occIncremental ? "temporal.occ.incremental"
                                       : "temporal.occ.scratch")
             .add();
+        reg.counter("temporal.knn.cells_reused").add(fa.knnCells.reused);
+        reg.counter("temporal.knn.cells_rebuilt")
+            .add(fa.knnCells.rebuilt);
+        reg.counter("temporal.occ.cells_reused").add(fa.occCells.reused);
+        reg.counter("temporal.occ.cells_rebuilt")
+            .add(fa.occCells.rebuilt);
     }
 }
 
@@ -126,12 +134,25 @@ TemporalPreprocessState::leaseBundle(
         });
 }
 
+std::shared_ptr<PreprocessBundle> &
+TemporalPreprocessState::slotFor(std::int64_t key)
+{
+    for (Slot &slot : slots) {
+        if (slot.key == key)
+            return slot.bundle;
+    }
+    slots.push_back({key, nullptr});
+    return slots.back().bundle;
+}
+
 std::shared_ptr<PreprocessBundle>
-TemporalPreprocessState::processFrame(const PointCloud &raw)
+TemporalPreprocessState::processFrame(const PointCloud &raw,
+                                      std::int64_t key)
 {
     HGPCN_ASSERT(!raw.empty(), "cannot preprocess an empty frame");
     std::lock_guard<std::mutex> lock(mu);
 
+    std::shared_ptr<PreprocessBundle> &prev = slotFor(key);
     std::shared_ptr<PreprocessBundle> bundle = leaseBundle(pool);
     HGPCN_ASSERT(bundle.get() != prev.get(),
                  "pool leased the carried frame's bundle");
@@ -170,12 +191,17 @@ TemporalPreprocessState::processFrame(const PointCloud &raw)
         bool knn_incremental = false;
         if (incremental && prev != nullptr && prev->rawKnnBuilt) {
             knn_incremental = bundle->rawKnn.rebuildFrom(
-                prev->rawKnn, positions, builder.delta());
+                prev->rawKnn, positions, builder.delta(),
+                &fa.knnCells);
         }
-        if (!knn_incremental)
+        if (!knn_incremental) {
             bundle->rawKnn.rebuild(positions, cfg.knn);
+            fa.knnCells = {0, bundle->rawKnn.nonEmptyCells()};
+        }
         bundle->rawKnnBuilt = true;
         ++(knn_incremental ? st.knnIncremental : st.knnScratch);
+        st.knnCellsReused += fa.knnCells.reused;
+        st.knnCellsRebuilt += fa.knnCells.rebuilt;
 
         const int level =
             VoxelGrid::autoLevel(positions.size(), tree.depth());
@@ -184,12 +210,16 @@ TemporalPreprocessState::processFrame(const PointCloud &raw)
             prev->rawOccLevel == level) {
             occ_incremental = patchOccupiedCells(
                 tree, level, prev->tree, prev->rawOcc,
-                builder.delta(), bundle->rawOcc);
+                builder.delta(), bundle->rawOcc, &fa.occCells);
         }
-        if (!occ_incremental)
+        if (!occ_incremental) {
             buildOccupiedCells(tree, level, bundle->rawOcc);
+            fa.occCells = {0, bundle->rawOcc.size()};
+        }
         bundle->rawOccLevel = level;
         ++(occ_incremental ? st.occIncremental : st.occScratch);
+        st.occCellsReused += fa.occCells.reused;
+        st.occCellsRebuilt += fa.occCells.rebuilt;
         fa.indicesCached = true;
         fa.knnIncremental = knn_incremental;
         fa.occIncremental = occ_incremental;
@@ -219,7 +249,7 @@ void
 TemporalPreprocessState::reset()
 {
     std::lock_guard<std::mutex> lock(mu);
-    prev.reset();
+    slots.clear();
 }
 
 TemporalPreprocessState::Stats

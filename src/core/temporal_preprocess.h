@@ -22,14 +22,23 @@
  * cache changes host wall-clock only; sampled outputs and modeled
  * paper numbers are unchanged by construction.
  *
+ * The carry is keyed by sensor: each key (a stream's sensor id)
+ * keeps its own previous frame, so a runner serving interleaved
+ * sensors diffs every frame against the same sensor's last frame,
+ * not against whichever sensor came before it. Only the carried
+ * bundles are per key; the builder scratch and the bundle pool are
+ * shared, so an extra sensor costs one live bundle. A key's slot
+ * lives until reset(), so memory grows with the number of distinct
+ * sensors a state has seen, not with stream length.
+ *
  * Storage is pooled: frames lease a PreprocessBundle (octree +
  * indices) whose backing vectors are reused once every in-flight
  * frame has a warmed bundle, keeping the steady state free of
  * arena-backing allocation (growth counted via
  * FrameWorkspace::noteGrowth, pinned by tests/test_runtime.cc).
  * Thread safety: processFrame() serializes under a mutex; frames
- * arriving out of order only lower the hit rate, never change
- * outputs.
+ * arriving out of order (or under the wrong key) only lower the hit
+ * rate, never change outputs.
  */
 
 #ifndef HGPCN_CORE_TEMPORAL_PREPROCESS_H
@@ -98,19 +107,31 @@ class TemporalPreprocessState
         std::uint64_t knnScratch = 0;
         std::uint64_t occIncremental = 0;
         std::uint64_t occScratch = 0;
+        // Work saved, in cells (geometry/point_delta.h CellWork): a
+        // scratch index build counts every non-empty cell rebuilt.
+        std::uint64_t knnCellsReused = 0;
+        std::uint64_t knnCellsRebuilt = 0;
+        std::uint64_t occCellsReused = 0;
+        std::uint64_t occCellsRebuilt = 0;
     };
+
+    /** Key of a stream without sensor ids: one carried slot. */
+    static constexpr std::int64_t kDefaultKey = -1;
 
     explicit TemporalPreprocessState(const Config &config);
 
     /**
-     * Build the frame's indices, reusing the previous frame's where
-     * the diff allows. The returned bundle stays valid as long as
-     * the caller holds it (its storage returns to the pool on
-     * release, possibly after this state is destroyed).
+     * Build the frame's indices, reusing those of the previous frame
+     * carried under @p key where the diff allows. The returned
+     * bundle stays valid as long as the caller holds it (its
+     * storage returns to the pool on release, possibly after this
+     * state is destroyed).
      */
-    std::shared_ptr<PreprocessBundle> processFrame(const PointCloud &raw);
+    std::shared_ptr<PreprocessBundle>
+    processFrame(const PointCloud &raw, std::int64_t key = kDefaultKey);
 
-    /** Drop the carried frame (the next frame builds from scratch). */
+    /** Drop every key's carried frame (each key's next frame builds
+     * from scratch). */
     void reset();
 
     /**
@@ -143,12 +164,24 @@ class TemporalPreprocessState
     static std::shared_ptr<PreprocessBundle>
     leaseBundle(const std::shared_ptr<BundlePool> &pool);
 
+    /** One key's carried frame. */
+    struct Slot
+    {
+        std::int64_t key;
+        std::shared_ptr<PreprocessBundle> bundle;
+    };
+
+    /** @return @p key's slot, opened empty on first use. */
+    std::shared_ptr<PreprocessBundle> &slotFor(std::int64_t key);
+
     Config cfg;
     std::shared_ptr<BundlePool> pool;
 
     mutable std::mutex mu;
     IncrementalOctreeBuilder builder;
-    std::shared_ptr<PreprocessBundle> prev; //!< keeps prev frame alive
+    /** Carried frames, one per key seen (a runner serves a handful
+     * of sensors, so a flat list beats a hash map). */
+    std::vector<Slot> slots;
     Stats st;
     MetricsRegistry *metrics = nullptr; //!< optional telemetry mirror
     std::int64_t obsShard = -1;         //!< shard tag for trace events

@@ -75,6 +75,18 @@ struct PointDelta
     }
 };
 
+/**
+ * Work split of one delta-driven index patch, in cells: entries a
+ * consumer carried over by remapping through the delta versus
+ * entries it re-derived from the new frame. The temporal cache's
+ * "work saved" metrics (core/temporal_preprocess.h) sum these.
+ */
+struct CellWork
+{
+    std::uint64_t reused = 0;  //!< clean cells remapped
+    std::uint64_t rebuilt = 0; //!< dirty cells re-bucketed / re-read
+};
+
 } // namespace hgpcn
 
 #endif // HGPCN_GEOMETRY_POINT_DELTA_H

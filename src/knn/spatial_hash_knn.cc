@@ -139,7 +139,7 @@ SpatialHashKnn::rebuild(std::span<const Vec3> positions,
 bool
 SpatialHashKnn::rebuildFrom(const SpatialHashKnn &prev,
                             std::span<const Vec3> positions,
-                            const PointDelta &delta)
+                            const PointDelta &delta, CellWork *work)
 {
     // Incremental fill needs the previous bucket layout to be owned
     // (workspace buffers are shared and may have been overwritten)
@@ -246,11 +246,13 @@ SpatialHashKnn::rebuildFrom(const SpatialHashKnn &prev,
     // stable counting sort would emit). Dirty cells merge the
     // remapped survivors with their sorted insertions.
     std::size_t ins = 0;
+    CellWork done;
     for (std::size_t id = 0; id < cells; ++id) {
         std::uint32_t w = cs[id];
         const std::uint32_t pf = prev.own_start[id];
         const std::uint32_t pl = prev.own_start[id + 1];
         if (!dirty_cells[id]) {
+            done.reused += pl > pf ? 1 : 0;
             for (std::uint32_t s = pf; s < pl; ++s) {
                 const PointIndex np =
                     delta.newFromOld[prev.own_order[s]];
@@ -260,6 +262,7 @@ SpatialHashKnn::rebuildFrom(const SpatialHashKnn &prev,
             }
             continue;
         }
+        ++done.rebuilt;
         std::uint32_t s = pf;
         PointIndex np = kNoPoint;
         while (s < pl &&
@@ -294,7 +297,21 @@ SpatialHashKnn::rebuildFrom(const SpatialHashKnn &prev,
                  "incremental fill dropped insertions");
 
     grid_built = true;
+    if (work != nullptr)
+        *work = done;
     return true;
+}
+
+std::size_t
+SpatialHashKnn::nonEmptyCells() const
+{
+    if (!grid_built)
+        return 0;
+    const std::vector<std::uint32_t> &cs = *cell_start;
+    std::size_t occupied = 0;
+    for (std::size_t c = 0; c + 1 < cs.size(); ++c)
+        occupied += cs[c + 1] > cs[c] ? 1 : 0;
+    return occupied;
 }
 
 SpatialHashKnn::CellCoord

@@ -42,6 +42,7 @@ namespace hgpcn
 {
 
 class FrameWorkspace;
+struct CellWork;
 struct PointDelta;
 
 /** Exact KNN over a uniform voxel-bucket grid. */
@@ -105,12 +106,20 @@ class SpatialHashKnn
      * Engages only when both indices own their storage (no
      * workspace), the previous index ran the grid path, and the
      * freshly derived grid geometry is bit-identical to @p prev's.
+     * @param work Optional out: non-empty clean cells remapped and
+     *        dirty cells re-bucketed (untouched when it returns
+     *        false).
      * @return false when it could not engage — the index is then
      * unchanged and the caller must rebuild() from scratch.
      */
     bool rebuildFrom(const SpatialHashKnn &prev,
                      std::span<const Vec3> positions,
-                     const PointDelta &delta);
+                     const PointDelta &delta,
+                     CellWork *work = nullptr);
+
+    /** @return grid cells holding at least one point (0 on the
+     * brute fallback) — the work a scratch rebuild() bucketed. */
+    std::size_t nonEmptyCells() const;
 
     /**
      * K nearest indexed points of every query position, each

@@ -194,7 +194,7 @@ patchOccupiedCells(const Octree &new_tree, int level,
                    const Octree &prev_tree,
                    const std::vector<OccupiedCell> &prev_occ,
                    const PointDelta &delta,
-                   std::vector<OccupiedCell> &out)
+                   std::vector<OccupiedCell> &out, CellWork *work)
 {
     if (level < 1 ||
         new_tree.config().maxDepth != prev_tree.config().maxDepth ||
@@ -264,6 +264,10 @@ patchOccupiedCells(const Octree &new_tree, int level,
     }
     while (p < patched.size())
         out.push_back(patched[p++]);
+    if (work != nullptr) {
+        work->rebuilt = dirty.size();
+        work->reused = out.size() - patched.size();
+    }
     return true;
 }
 

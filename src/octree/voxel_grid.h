@@ -173,6 +173,8 @@ void buildOccupiedCells(const Octree &tree, int level,
  * from the new tree (two binary searches each). Output is
  * bit-identical to buildOccupiedCells() on @p new_tree.
  *
+ * @param work Optional out: clean entries kept and dirty cells
+ *        re-read (untouched when patching cannot engage).
  * @return false when patching cannot engage (level 0, or the trees'
  * depths differ); @p out is then untouched.
  */
@@ -180,7 +182,8 @@ bool patchOccupiedCells(const Octree &new_tree, int level,
                         const Octree &prev_tree,
                         const std::vector<OccupiedCell> &prev_occ,
                         const PointDelta &delta,
-                        std::vector<OccupiedCell> &out);
+                        std::vector<OccupiedCell> &out,
+                        CellWork *work = nullptr);
 
 } // namespace hgpcn
 

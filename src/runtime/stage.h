@@ -18,6 +18,7 @@
 #define HGPCN_RUNTIME_STAGE_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
@@ -41,6 +42,11 @@ struct FrameTask
      * run() blocks until every worker joins, so the stream outlives
      * every task. Null only in stage-stub tests. */
     const Frame *frame = nullptr;
+
+    /** The frame's sensor id (StreamTraceIds::sensor): the key the
+     * build stage's temporal carry diffs the frame under. -1 when
+     * the stream carries no ids (one shared carry slot). */
+    std::int64_t sensor = -1;
 
     /** Filled progressively: build stage -> preprocess.tree/buildSec,
      * down-sample stage -> preprocess.sampled/dsu, inference stage

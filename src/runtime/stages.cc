@@ -40,7 +40,8 @@ chargeFault(FrameTask &task, double solo_sec)
 double
 OctreeBuildStage::process(FrameTask &task) const
 {
-    task.result.preprocess = pre.buildStage(task.frame->cloud, carry);
+    task.result.preprocess =
+        pre.buildStage(task.frame->cloud, carry, task.sensor);
     return task.result.preprocess.octreeBuildSec;
 }
 

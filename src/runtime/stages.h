@@ -43,9 +43,10 @@ class OctreeBuildStage : public PipelineStage
      * @param engine Pre-processing engine (borrowed, not owned).
      * @param carry_state Optional cross-frame preprocessing cache
      *        (borrowed, core/temporal_preprocess.h): frames build
-     *        their octree incrementally against the previous frame.
-     *        Bit-identical outputs; the carry serializes this stage
-     *        across workers (frames queue on its mutex).
+     *        their octree incrementally against the previous frame
+     *        of the same sensor (FrameTask::sensor). Bit-identical
+     *        outputs; the carry serializes this stage across
+     *        workers (frames queue on its mutex).
      */
     explicit OctreeBuildStage(const PreprocessingEngine &engine,
                               std::string stage_resource = "cpu",

@@ -416,6 +416,8 @@ StreamRunner::run(const std::vector<Frame> &frames,
         auto task = std::make_unique<FrameTask>();
         task->index = i;
         task->frame = &frames[i];
+        if (trace_ids != nullptr)
+            task->sensor = trace_ids->sensor[i];
         if (faults != nullptr)
             task->fault = (*faults)[i];
         tasks.push_back(std::move(task));
@@ -655,14 +657,14 @@ StreamRunner::run(const std::vector<Frame> &frames,
             100.0 * static_cast<double>(reused) /
             static_cast<double>(reused + erected);
     }
-    const std::uint64_t knn_inc =
-        out.metrics.countOf("temporal.knn.incremental");
-    const std::uint64_t knn_scratch =
-        out.metrics.countOf("temporal.knn.scratch");
-    if (knn_inc + knn_scratch > 0) {
+    const std::uint64_t knn_reused =
+        out.metrics.countOf("temporal.knn.cells_reused");
+    const std::uint64_t knn_rebuilt =
+        out.metrics.countOf("temporal.knn.cells_rebuilt");
+    if (knn_reused + knn_rebuilt > 0) {
         rep.temporalKnnHitPct =
-            100.0 * static_cast<double>(knn_inc) /
-            static_cast<double>(knn_inc + knn_scratch);
+            100.0 * static_cast<double>(knn_reused) /
+            static_cast<double>(knn_reused + knn_rebuilt);
     }
     return out;
 }

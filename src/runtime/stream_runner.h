@@ -91,7 +91,9 @@ struct RuntimeReport
 
     // Temporal-cache attribution, read back from the run's metrics
     // registry ("temporal.*" counters). -1 = not applicable (cache
-    // off or no frames); percentages in [0, 100] otherwise.
+    // off or no frames); percentages in [0, 100] otherwise. Both
+    // count work saved: octree nodes reused, and KNN bucket cells
+    // remapped rather than re-bucketed.
     double temporalSubtreeReusePct = -1;
     double temporalKnnHitPct = -1;
 
@@ -132,10 +134,11 @@ struct RuntimeResult
 };
 
 /**
- * Optional per-frame identity for trace events, parallel to the
- * input stream. A ShardedRunner passes each shard's global frame
- * indices and sensor ids so the shard's spans carry fleet-level ids
- * instead of shard-local positions.
+ * Optional per-frame identity, parallel to the input stream. A
+ * ShardedRunner passes each shard's global frame indices and sensor
+ * ids. The sensor id keys the temporal carry (one carried frame per
+ * sensor), and both ids tag trace events so the shard's spans carry
+ * fleet-level ids instead of shard-local positions.
  */
 struct StreamTraceIds
 {
@@ -191,10 +194,12 @@ class StreamRunner
 
         /** Carry pre-processing indices across frames
          * (core/temporal_preprocess.h): each frame's octree is
-         * rebuilt incrementally against the previous frame's and
-         * the storage is pooled. Wall-clock only — every output bit
-         * is identical either way; the carry serializes the build
-         * stage across buildWorkers (frames queue on its mutex). */
+         * rebuilt incrementally against the previous frame of the
+         * same sensor (one carried slot per sensor id passed to
+         * run(); one slot without ids) and the storage is pooled.
+         * Wall-clock only — every output bit is identical either
+         * way; the carry serializes the build stage across
+         * buildWorkers (frames queue on its mutex). */
         bool temporalCache = true;
 
         /** Cross-sensor micro-batching: frames coalesced per
@@ -249,9 +254,10 @@ class StreamRunner
      *        increasing when paceBySensor is set.
      * @param on_frame Optional per-frame hook, called in stream
      *        order on the collecting thread.
-     * @param trace_ids Optional fleet-level frame/sensor ids for
-     *        trace events (see StreamTraceIds); sizes must match
-     *        @p frames when given.
+     * @param trace_ids Optional fleet-level frame/sensor ids (see
+     *        StreamTraceIds): sensor ids key the temporal carry and
+     *        both tag trace events; sizes must match @p frames when
+     *        given. Without ids every frame shares one carry slot.
      * @param faults Optional resolved per-frame fault directives,
      *        parallel to @p frames (serving/failover.h): retries,
      *        backoff and slowdown are charged as virtual time on

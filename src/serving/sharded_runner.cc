@@ -266,22 +266,27 @@ ShardedRunner::serve(const SensorStream &stream,
         }
     }
 
+    // Every shard also gets its sub-stream's fleet-level frame and
+    // sensor ids: the sensor ids key the shard's temporal carry, and
+    // both make shard spans attributable without the globalIndex
+    // mapping.
     std::vector<std::vector<Frame>> sub(n_shards);
+    std::vector<StreamTraceIds> trace_ids(n_shards);
     std::vector<std::vector<FrameFaultDirective>> shard_faults(
         n_shards);
     for (std::size_t i = 0; i < stream.size(); ++i) {
         const std::size_t s = assignment[i];
         sub[s].push_back(stream.frames[i]);
         outcomes[s].globalIndex.push_back(i);
+        trace_ids[s].frame.push_back(static_cast<std::int64_t>(i));
+        trace_ids[s].sensor.push_back(
+            static_cast<std::int64_t>(stream.sensors[i]));
         if (have_directives)
             shard_faults[s].push_back(directives[i]);
     }
 
     // Trace the placement decisions (virtual clock, at the frame's
-    // capture time — deterministic payload) and give every shard its
-    // sub-stream's fleet-level frame/sensor ids so shard spans are
-    // attributable without the globalIndex mapping.
-    std::vector<StreamTraceIds> trace_ids(n_shards);
+    // capture time — deterministic payload).
     if (HGPCN_TRACE_ENABLED()) {
         for (std::size_t i = 0; i < stream.size(); ++i) {
             TraceIds ids;
@@ -293,17 +298,6 @@ ShardedRunner::serve(const SensorStream &stream,
                 TraceClock::Virtual, stream.frames[i].timestamp,
                 "place:shard" + std::to_string(assignment[i]),
                 "placement", "serving/placement", ids));
-        }
-        for (std::size_t s = 0; s < n_shards; ++s) {
-            trace_ids[s].frame.reserve(outcomes[s].globalIndex.size());
-            trace_ids[s].sensor.reserve(
-                outcomes[s].globalIndex.size());
-            for (const std::size_t g : outcomes[s].globalIndex) {
-                trace_ids[s].frame.push_back(
-                    static_cast<std::int64_t>(g));
-                trace_ids[s].sensor.push_back(
-                    static_cast<std::int64_t>(stream.sensors[g]));
-            }
         }
     }
 
@@ -337,9 +331,7 @@ ShardedRunner::serve(const SensorStream &stream,
                         shard.runner.requestStop();
                 };
             outcomes[s].result = shard.runner.run(
-                sub[s], hook,
-                trace_ids[s].frame.empty() ? nullptr
-                                           : &trace_ids[s],
+                sub[s], hook, &trace_ids[s],
                 have_directives ? &shard_faults[s] : nullptr);
         });
     }

@@ -17,6 +17,7 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "core/hgpcn_system.h"
+#include "datasets/coherent_drive.h"
 #include "datasets/kitti_like.h"
 #include "runtime/stage_pipeline.h"
 #include "runtime/stream_runner.h"
@@ -599,20 +600,53 @@ TEST(StreamRunner, SteadyStateIsArenaAllocationFree)
     // steady-state run over the same stream must not grow them
     // again — the counting hook on the arena backing stores is the
     // witness. Single-worker config so exactly one workspace serves
-    // every frame deterministically.
-    const std::vector<Frame> frames = smallKittiStream(3);
+    // every frame deterministically. Two inputs: one unkeyed sensor,
+    // and three interleaved coherent sensors whose ids key the
+    // temporal carry (one carried bundle per sensor).
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, tinyClassifier());
-    StreamRunner::Config rc = StreamRunner::compat(frames.size(), 0);
-    rc.inputPoints = system.config().inputPoints;
-    StreamRunner runner(system.preprocessor(), system.backend(), rc);
+    const auto expect_steady = [&](const std::vector<Frame> &frames,
+                                   const StreamTraceIds *ids,
+                                   int warm_runs) {
+        StreamRunner::Config rc =
+            StreamRunner::compat(frames.size(), 0);
+        rc.inputPoints = system.config().inputPoints;
+        StreamRunner runner(system.preprocessor(), system.backend(),
+                            rc);
+        for (int r = 0; r < warm_runs; ++r)
+            runner.run(frames, {}, ids); // arenas size themselves
+        const std::uint64_t warm = FrameWorkspace::backingGrowths();
+        const RuntimeResult steady = runner.run(frames, {}, ids);
+        EXPECT_EQ(steady.frames.size(), frames.size());
+        EXPECT_EQ(FrameWorkspace::backingGrowths(), warm)
+            << "steady-state frames grew a workspace arena";
+    };
+    expect_steady(smallKittiStream(3), nullptr, 1);
 
-    runner.run(frames); // warm-up: arenas size themselves
-    const std::uint64_t warm = FrameWorkspace::backingGrowths();
-    const RuntimeResult steady = runner.run(frames);
-    EXPECT_EQ(steady.frames.size(), frames.size());
-    EXPECT_EQ(FrameWorkspace::backingGrowths(), warm)
-        << "steady-state frames grew a workspace arena";
+    std::vector<Frame> interleaved;
+    StreamTraceIds ids;
+    constexpr std::size_t kSensors = 3;
+    for (std::size_t f = 0; f < 3; ++f) {
+        for (std::size_t s = 0; s < kSensors; ++s) {
+            CoherentDrive::Config dc;
+            dc.points = 2000;
+            dc.churnFraction = 0.02;
+            dc.seed = 300 + s;
+            Frame frame = CoherentDrive(dc).generate(f);
+            frame.timestamp += static_cast<double>(s) /
+                               (kSensors * dc.frameRateHz);
+            ids.frame.push_back(
+                static_cast<std::int64_t>(interleaved.size()));
+            ids.sensor.push_back(static_cast<std::int64_t>(s));
+            interleaved.push_back(std::move(frame));
+        }
+    }
+    // A coherent stream needs two warm-up runs: each sensor's first
+    // frame of a re-run diffs incrementally against its last frame
+    // of the previous run — a wider delta, on a code path the first
+    // run (cold, scratch first frames) never took. From the second
+    // run on, every diff repeats.
+    expect_steady(interleaved, &ids, 2);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include "common/logging.h"
 #include "core/hgpcn_system.h"
+#include "datasets/coherent_drive.h"
 #include "datasets/sensor_stream.h"
 #include "serving/placement.h"
 #include "serving/serving_report.h"
@@ -511,6 +512,145 @@ TEST(ShardedRunner, EmptyStreamYieldsEmptyReport)
     EXPECT_EQ(served.report.framesIn, 0u);
     EXPECT_TRUE(served.frames.empty());
     EXPECT_EQ(served.report.shardReports.size(), 2u);
+}
+
+// ------------------------------------------------- sensor-keyed carry
+
+/** Per-sensor CoherentDrive frames with phase-offset stamps, so the
+ * merged stream interleaves s0, s1, s2, s0, ... */
+std::vector<std::vector<Frame>>
+coherentDrives(std::size_t sensors, std::size_t frames_per_sensor)
+{
+    std::vector<std::vector<Frame>> per_sensor(sensors);
+    for (std::size_t s = 0; s < sensors; ++s) {
+        CoherentDrive::Config dc;
+        dc.points = 3000;
+        dc.churnFraction = 0.02;
+        dc.seed = 200 + s;
+        const CoherentDrive drive(dc);
+        for (std::size_t i = 0; i < frames_per_sensor; ++i) {
+            Frame f = drive.generate(i);
+            f.timestamp += static_cast<double>(s) /
+                           (static_cast<double>(sensors) *
+                            dc.frameRateHz);
+            per_sensor[s].push_back(std::move(f));
+        }
+    }
+    return per_sensor;
+}
+
+/** The temporal-carry work a run's metrics record. */
+struct CarryWork
+{
+    std::uint64_t hits = 0;
+    std::uint64_t nodesReused = 0;
+    std::uint64_t nodesErected = 0;
+
+    static CarryWork
+    of(const MetricsSnapshot &m)
+    {
+        return {m.countOf("temporal.octree.hits"),
+                m.countOf("temporal.nodes.reused"),
+                m.countOf("temporal.nodes.erected")};
+    }
+};
+
+/** Carry work of every sensor run alone through its own runner —
+ * what a per-sensor carry must reproduce on an interleaved stream. */
+CarryWork
+soloCarryWork(const HgPcnSystem &system,
+              const std::vector<std::vector<Frame>> &per_sensor)
+{
+    StreamRunner::Config rc;
+    rc.inputPoints = system.config().inputPoints;
+    CarryWork sum;
+    for (const std::vector<Frame> &frames : per_sensor) {
+        StreamRunner runner(system.preprocessor(), system.backend(), rc);
+        const CarryWork w = CarryWork::of(runner.run(frames).metrics);
+        sum.hits += w.hits;
+        sum.nodesReused += w.nodesReused;
+        sum.nodesErected += w.nodesErected;
+    }
+    return sum;
+}
+
+/** Labels and every modeled term bit-identical to the carry-free
+ * serial oracle. */
+void
+expectMatchesOracle(const HgPcnSystem &system, const Frame &frame,
+                    const E2eResult &got)
+{
+    const E2eResult want = system.processFrame(frame.cloud);
+    EXPECT_EQ(got.inference.output.labels,
+              want.inference.output.labels);
+    EXPECT_EQ(got.preprocess.octreeBuildSec,
+              want.preprocess.octreeBuildSec);
+    EXPECT_EQ(got.preprocess.dsu.totalSec(),
+              want.preprocess.dsu.totalSec());
+    EXPECT_EQ(got.inference.totalSec(), want.inference.totalSec());
+    EXPECT_EQ(got.totalSec(), want.totalSec());
+}
+
+TEST(SensorKeyedCarry, InterleavedRunnerDoesEachSensorsSoloWork)
+{
+    // Regression: a one-slot carry diffed each frame against another
+    // sensor's frame, so interleaved sensors reused nothing. Keyed by
+    // the sensor ids run() is given, the carry does exactly the work
+    // of each sensor streamed alone.
+    const auto per_sensor = coherentDrives(3, 4);
+    const SensorStream stream = mergeSensorStreams(per_sensor);
+    ASSERT_EQ(stream.size(), 12u);
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+
+    StreamTraceIds ids;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        ids.frame.push_back(static_cast<std::int64_t>(i));
+        ids.sensor.push_back(
+            static_cast<std::int64_t>(stream.sensors[i]));
+    }
+    StreamRunner::Config rc;
+    rc.inputPoints = system.config().inputPoints;
+    StreamRunner runner(system.preprocessor(), system.backend(), rc);
+    const RuntimeResult rt = runner.run(stream.frames, {}, &ids);
+    ASSERT_EQ(rt.frames.size(), stream.size());
+    for (const ProcessedFrame &pf : rt.frames)
+        expectMatchesOracle(system, stream.frames[pf.index], pf.result);
+
+    const CarryWork got = CarryWork::of(rt.metrics);
+    const CarryWork want = soloCarryWork(system, per_sensor);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.nodesReused, want.nodesReused);
+    EXPECT_EQ(got.nodesErected, want.nodesErected);
+    EXPECT_GT(got.nodesReused, 0u);
+}
+
+TEST(SensorKeyedCarry, HashBySensorShardsDoEachSensorsSoloWork)
+{
+    // Three sensors on two shards: at least one shard interleaves
+    // two sensors, and its carry must still reuse like each alone.
+    const auto per_sensor = coherentDrives(3, 4);
+    const SensorStream stream = mergeSensorStreams(per_sensor);
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+
+    ShardedRunner::Config sc;
+    sc.shards = 2;
+    sc.placement = PlacementPolicy::HashBySensor;
+    ShardedRunner fleet(cfg, tinyClassifier(), sc);
+    const ServingResult served = fleet.serve(stream);
+    ASSERT_EQ(served.frames.size(), stream.size());
+    for (const ServedFrame &sf : served.frames) {
+        expectMatchesOracle(system, stream.frames[sf.globalIndex],
+                            sf.result);
+    }
+
+    const CarryWork got = CarryWork::of(served.metrics);
+    const CarryWork want = soloCarryWork(system, per_sensor);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.nodesReused, want.nodesReused);
+    EXPECT_EQ(got.nodesErected, want.nodesErected);
+    EXPECT_GT(got.nodesReused, 0u);
 }
 
 } // namespace

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/frame_workspace.h"
@@ -288,11 +290,17 @@ TEST(CachedIndices, IncrementalKnnMatchesFreshOracle)
     ASSERT_TRUE(builder.update(f1.cloud, &prev, ocfg, next));
 
     SpatialHashKnn inc;
+    CellWork work;
     ASSERT_TRUE(inc.rebuildFrom(prev_knn,
                                 next.reorderedCloud().positions(),
-                                builder.delta()));
+                                builder.delta(), &work));
     SpatialHashKnn fresh;
     fresh.rebuild(next.reorderedCloud().positions(), kcfg);
+    // Every non-empty cell was either remapped or re-bucketed (a
+    // re-bucketed cell may have emptied).
+    EXPECT_GT(work.rebuilt, 0u);
+    EXPECT_LE(work.reused, fresh.nonEmptyCells());
+    EXPECT_GE(work.reused + work.rebuilt, fresh.nonEmptyCells());
 
     std::vector<PointIndex> centrals;
     for (PointIndex i = 0; i < dc.points;
@@ -327,12 +335,18 @@ TEST(CachedIndices, PatchedOccupancyMatchesFreshOracle)
         std::vector<OccupiedCell> prev_occ;
         buildOccupiedCells(prev, level, prev_occ);
         std::vector<OccupiedCell> patched;
+        CellWork work;
         ASSERT_TRUE(patchOccupiedCells(next, level, prev, prev_occ,
-                                       builder.delta(), patched))
+                                       builder.delta(), patched,
+                                       &work))
             << "level " << level;
         std::vector<OccupiedCell> fresh;
         buildOccupiedCells(next, level, fresh);
         ASSERT_EQ(patched.size(), fresh.size()) << "level " << level;
+        EXPECT_GT(work.rebuilt, 0u) << "level " << level;
+        EXPECT_LE(work.reused, fresh.size()) << "level " << level;
+        EXPECT_GE(work.reused + work.rebuilt, fresh.size())
+            << "level " << level;
         for (std::size_t i = 0; i < fresh.size(); ++i) {
             EXPECT_EQ(patched[i].cell, fresh[i].cell)
                 << "level " << level << " cell " << i;
@@ -494,6 +508,129 @@ TEST(TemporalState, ResetForcesScratchRebuild)
     const TemporalPreprocessState::Stats st = carry.stats();
     EXPECT_EQ(st.octreeMisses, 2u); // frame 0 and the post-reset frame
     EXPECT_EQ(st.octreeHits, 1u);
+}
+
+TEST(TemporalState, KeyedSlotsMatchOneCarryPerSensor)
+{
+    // Interleaved sensors through one keyed state: every frame diffs
+    // against its own sensor's last frame, so the cache does exactly
+    // the work of one private carry per sensor — same hits, same
+    // subtree reuse, same cells saved.
+    constexpr std::size_t kSensors = 3;
+    std::vector<CoherentDrive> drives;
+    for (std::size_t s = 0; s < kSensors; ++s) {
+        CoherentDrive::Config dc;
+        dc.points = 1500;
+        dc.churnFraction = 0.02;
+        dc.seed = 101 + s;
+        drives.emplace_back(dc);
+    }
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+    TemporalPreprocessState keyed(tc);
+    std::vector<std::unique_ptr<TemporalPreprocessState>> solo;
+    for (std::size_t s = 0; s < kSensors; ++s)
+        solo.push_back(std::make_unique<TemporalPreprocessState>(tc));
+
+    for (std::size_t t = 0; t < 4; ++t) {
+        for (std::size_t s = 0; s < kSensors; ++s) {
+            const Frame frame = drives[s].generate(t);
+            const auto mine = keyed.processFrame(
+                frame.cloud, static_cast<std::int64_t>(s));
+            const auto alone = solo[s]->processFrame(frame.cloud);
+            expectTreesIdentical(mine->tree, alone->tree);
+        }
+    }
+    TemporalPreprocessState::Stats sum;
+    for (const auto &c : solo) {
+        const TemporalPreprocessState::Stats st = c->stats();
+        sum.octreeHits += st.octreeHits;
+        sum.nodesReused += st.nodesReused;
+        sum.nodesErected += st.nodesErected;
+        sum.knnCellsReused += st.knnCellsReused;
+        sum.knnCellsRebuilt += st.knnCellsRebuilt;
+        sum.occCellsReused += st.occCellsReused;
+        sum.occCellsRebuilt += st.occCellsRebuilt;
+    }
+    const TemporalPreprocessState::Stats st = keyed.stats();
+    EXPECT_EQ(st.octreeHits, 3u * kSensors);
+    EXPECT_EQ(st.octreeMisses, kSensors);
+    EXPECT_EQ(st.octreeHits, sum.octreeHits);
+    EXPECT_EQ(st.nodesReused, sum.nodesReused);
+    EXPECT_EQ(st.nodesErected, sum.nodesErected);
+    EXPECT_GT(st.nodesReused, 0u);
+    EXPECT_EQ(st.knnCellsReused, sum.knnCellsReused);
+    EXPECT_EQ(st.knnCellsRebuilt, sum.knnCellsRebuilt);
+    EXPECT_EQ(st.occCellsReused, sum.occCellsReused);
+    EXPECT_EQ(st.occCellsRebuilt, sum.occCellsRebuilt);
+}
+
+TEST(TemporalState, CellCountersCountWorkSaved)
+{
+    // A scratch index build rebuilds every non-empty cell; a
+    // low-churn incremental frame remaps most cells and re-derives
+    // only the dirty ones.
+    CoherentDrive::Config dc;
+    dc.points = 2000;
+    dc.churnFraction = 0.01;
+    dc.seed = 111;
+    const CoherentDrive drive(dc);
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+    TemporalPreprocessState carry(tc);
+
+    const auto first = carry.processFrame(drive.generate(0).cloud);
+    TemporalPreprocessState::Stats st = carry.stats();
+    EXPECT_EQ(st.knnCellsReused, 0u);
+    EXPECT_EQ(st.knnCellsRebuilt, first->rawKnn.nonEmptyCells());
+    EXPECT_EQ(st.occCellsReused, 0u);
+    EXPECT_EQ(st.occCellsRebuilt, first->rawOcc.size());
+
+    carry.processFrame(drive.generate(1).cloud);
+    const TemporalPreprocessState::Stats st1 = carry.stats();
+    ASSERT_EQ(st1.knnIncremental, 1u);
+    ASSERT_EQ(st1.occIncremental, 1u);
+    const std::uint64_t knn_reused = st1.knnCellsReused;
+    const std::uint64_t knn_rebuilt =
+        st1.knnCellsRebuilt - st.knnCellsRebuilt;
+    const std::uint64_t occ_reused = st1.occCellsReused;
+    const std::uint64_t occ_rebuilt =
+        st1.occCellsRebuilt - st.occCellsRebuilt;
+    EXPECT_GT(knn_reused, knn_rebuilt);
+    EXPECT_GT(knn_rebuilt, 0u);
+    EXPECT_GT(occ_reused, occ_rebuilt);
+    EXPECT_GT(occ_rebuilt, 0u);
+}
+
+TEST(TemporalState, ResetDropsEverySensorSlot)
+{
+    constexpr std::size_t kSensors = 3;
+    std::vector<CoherentDrive> drives;
+    for (std::size_t s = 0; s < kSensors; ++s) {
+        CoherentDrive::Config dc;
+        dc.points = 800;
+        dc.churnFraction = 0.05;
+        dc.seed = 121 + s;
+        drives.emplace_back(dc);
+    }
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(8, 16);
+    TemporalPreprocessState carry(tc);
+    const auto feed = [&](std::size_t t) {
+        for (std::size_t s = 0; s < kSensors; ++s) {
+            carry.processFrame(drives[s].generate(t).cloud,
+                               static_cast<std::int64_t>(s));
+        }
+    };
+    feed(0);
+    feed(1);
+    ASSERT_EQ(carry.stats().octreeHits, kSensors);
+    carry.reset();
+    feed(2);
+    const TemporalPreprocessState::Stats st = carry.stats();
+    // Each sensor's post-reset frame is a miss, like its first.
+    EXPECT_EQ(st.octreeMisses, 2 * kSensors);
+    EXPECT_EQ(st.octreeHits, kSensors);
 }
 
 // -------------------------------------------------- edge conditions
