@@ -1,7 +1,7 @@
 /**
  * @file
  * Streaming-runtime throughput: worker-count and frames-in-flight
- * sweeps over the concurrent stage pipeline (docs/RUNTIME.md).
+ * sweeps over the modeled stage pipeline (docs/RUNTIME.md).
  *
  * The paper's real-time claim (Section VII-E) rests on overlapping
  * the CPU octree build of frame i+1 with the FPGA work of frame i.

@@ -5,8 +5,8 @@
  *
  * A KITTI-like sensor produces ~1.2e5-point frames at 10 Hz; every
  * frame is octree-indexed, down-sampled to 16384 points and
- * semantically segmented. The stream runs on the concurrent
- * stage-pipeline runtime (docs/RUNTIME.md) three ways:
+ * semantically segmented. The stream runs on the streaming
+ * runtime (docs/RUNTIME.md), modeled three ways:
  *
  *   serial     - one frame at a time (processStream mean rate)
  *   pipelined  - 1 CPU build worker overlapping the shared FPGA

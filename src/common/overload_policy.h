@@ -1,11 +1,9 @@
 /**
  * @file
- * Overload semantics shared by the real bounded queue
- * (common/bounded_queue.h) and the virtual-time scheduler
- * (runtime/virtual_timeline.h): what a full queue does with an
- * incoming element. Lives apart from the queue so the pure
- * arithmetic of the timeline does not depend on the threading
- * machinery.
+ * Overload semantics of the virtual-time scheduler
+ * (runtime/virtual_timeline.h): what a full modeled queue does with
+ * an incoming frame. Lives apart from the timeline so reports and
+ * configs can name a policy without pulling in the scheduler.
  */
 
 #ifndef HGPCN_COMMON_OVERLOAD_POLICY_H
@@ -36,15 +34,6 @@ overloadPolicyName(OverloadPolicy policy)
     }
     return "?";
 }
-
-/** Result of one push() call. */
-enum class PushOutcome
-{
-    Pushed,       //!< element admitted, nothing lost
-    DroppedOldest,//!< element admitted, front element evicted
-    DroppedNewest,//!< element refused
-    Closed,       //!< queue closed, element refused
-};
 
 } // namespace hgpcn
 

@@ -9,7 +9,7 @@
  * The real-time criterion of Section VII-E: the achieved frame rate
  * must meet or exceed the sensor's generation rate.
  *
- * Streams run on the concurrent stage-pipeline runtime (src/runtime,
+ * Streams run on the streaming runtime (src/runtime,
  * docs/RUNTIME.md) via runStream(); processStream() is the legacy
  * serial-shaped wrapper whose numbers are reproduced by a
  * single-worker runner.

@@ -1,17 +1,14 @@
 /**
  * @file
- * Pipeline stage abstraction of the streaming runtime.
+ * The unit of work of the streaming runtime.
  *
- * A PipelineStage is one station of the stage graph (docs/RUNTIME.md):
- * it performs the real functional work on a FrameTask (octree build,
- * OIS down-sampling, inference, ...) and returns the *modeled* cost
- * of that work in seconds. The cycle models stay authoritative for
- * time — wall-clock threads only carry the functional computation —
- * so a stage's return value, not its host runtime, is what the
- * virtual timeline schedules (see runtime/virtual_timeline.h).
- *
- * Stages must be thread-safe: the executor calls process() from a
- * pool of workers, potentially on several frames concurrently.
+ * A FrameTask carries one frame through the three stages of
+ * runtime/stages.h (octree build, OIS down-sampling, inference).
+ * Each stage performs the real functional work and records the
+ * *modeled* cost of that work in seconds. The cycle models stay
+ * authoritative for time — host threads only carry the functional
+ * computation — so the recorded costs, not host runtimes, are what
+ * the virtual timeline schedules (see runtime/virtual_timeline.h).
  */
 
 #ifndef HGPCN_RUNTIME_STAGE_H
@@ -20,9 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/e2e_result.h"
@@ -32,15 +26,15 @@
 namespace hgpcn
 {
 
-/** One frame moving through the stage graph. */
+/** One frame moving through the stages. */
 struct FrameTask
 {
     /** Admission order, 0-based; results are emitted in this order. */
     std::size_t index = 0;
 
     /** The raw sensor frame, borrowed from the caller's stream —
-     * run() blocks until every worker joins, so the stream outlives
-     * every task. Null only in stage-stub tests. */
+     * run() blocks until its helper thread joins, so the stream
+     * outlives every task. */
     const Frame *frame = nullptr;
 
     /** The frame's sensor id (StreamTraceIds::sensor): the key the
@@ -69,81 +63,8 @@ struct FrameTask
     double faultExtraSec = 0.0;
 };
 
-/** One station of the pipeline. */
-class PipelineStage
-{
-  public:
-    virtual ~PipelineStage() = default;
-
-    /** @return short stage name for reports ("octree-build", ...). */
-    virtual const std::string &name() const = 0;
-
-    /**
-     * @return the device this stage occupies in the virtual
-     * timeline ("cpu", "fpga", ...). Stages naming the same
-     * resource serialize on its units — e.g. OIS down-sampling and
-     * inference both run on the one FPGA of Fig. 4.
-     */
-    virtual const std::string &resource() const = 0;
-
-    /**
-     * Execute the stage on @p task (thread-safe).
-     *
-     * @return modeled seconds this stage's device is busy with the
-     * frame — the cost the virtual timeline schedules.
-     */
-    virtual double process(FrameTask &task) const = 0;
-
-    /**
-     * Execute the stage on a coalesced batch of frames (thread-safe).
-     *
-     * @param tasks The batch, in admission-index order.
-     * @param costs Out: per-frame SOLO modeled seconds — what each
-     *        frame would cost served alone. These feed the per-frame
-     *        stage attributions; the shared batched occupancy charged
-     *        to the device is computed separately by the timeline
-     *        (ExecutionBackend::batchServiceSec), so batching never
-     *        perturbs per-frame modeled numbers.
-     *
-     * Default: serve each frame solo — stages with no batched
-     * execution path compose with the batching pipeline unchanged.
-     * Overrides must keep each frame's functional result
-     * bit-identical to process() (see InferenceStage::processBatch).
-     */
-    virtual void processBatch(std::span<FrameTask *const> tasks,
-                              std::span<double> costs) const
-    {
-        for (std::size_t i = 0; i < tasks.size(); ++i)
-            costs[i] = process(*tasks[i]);
-    }
-};
-
-/** A stage defined by a callable — test scaffolding and quick
- * experiments (e.g. a stand-in stage with a fixed modeled cost). */
-class FunctionStage : public PipelineStage
-{
-  public:
-    using Fn = std::function<double(FrameTask &)>;
-
-    FunctionStage(std::string stage_name, std::string stage_resource,
-                  Fn fn)
-        : nm(std::move(stage_name)), res(std::move(stage_resource)),
-          body(std::move(fn))
-    {
-    }
-
-    const std::string &name() const override { return nm; }
-    const std::string &resource() const override { return res; }
-    double process(FrameTask &task) const override
-    {
-        return body(task);
-    }
-
-  private:
-    std::string nm;
-    std::string res;
-    Fn body;
-};
+/** In-order per-frame hook, invoked on the thread that called run(). */
+using FrameTaskCallback = std::function<void(const FrameTask &)>;
 
 } // namespace hgpcn
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The HgPCN engines as pluggable pipeline stages.
+ * The HgPCN engines as the three stages of the streaming runtime.
  *
  * The serial HgPcnSystem::processFrame flow of Fig. 4 split at its
  * two natural device boundaries:
@@ -16,12 +16,15 @@
  * that engine already contributed to the serial E2E latency. The
  * inference stage is backend-parameterized (src/backends): it
  * executes on the backend it is handed and occupies that backend's
- * device on the virtual timeline.
+ * device on the virtual timeline. StreamRunner calls the stages
+ * directly: the build stage on its lookahead thread, down-sampling
+ * and inference on the caller's thread.
  */
 
 #ifndef HGPCN_RUNTIME_STAGES_H
 #define HGPCN_RUNTIME_STAGES_H
 
+#include <span>
 #include <string>
 
 #include "backends/execution_backend.h"
@@ -36,7 +39,7 @@ namespace hgpcn
 class TemporalPreprocessState;
 
 /** Octree-build Unit on the host CPU. */
-class OctreeBuildStage : public PipelineStage
+class OctreeBuildStage
 {
   public:
     /**
@@ -45,8 +48,8 @@ class OctreeBuildStage : public PipelineStage
      *        (borrowed, core/temporal_preprocess.h): frames build
      *        their octree incrementally against the previous frame
      *        of the same sensor (FrameTask::sensor). Bit-identical
-     *        outputs; the carry serializes this stage across
-     *        workers (frames queue on its mutex).
+     *        outputs; the carry guards its slots with its own
+     *        mutex.
      */
     explicit OctreeBuildStage(const PreprocessingEngine &engine,
                               std::string stage_resource = "cpu",
@@ -57,9 +60,17 @@ class OctreeBuildStage : public PipelineStage
     {
     }
 
-    const std::string &name() const override { return nm; }
-    const std::string &resource() const override { return res; }
-    double process(FrameTask &task) const override;
+    /** @return short stage name for reports ("octree-build", ...). */
+    const std::string &name() const { return nm; }
+    /** @return the device this stage occupies in the virtual
+     * timeline ("cpu", "fpga", ...). Stages naming the same
+     * resource serialize on its units — e.g. OIS down-sampling and
+     * inference both run on the one FPGA of Fig. 4. */
+    const std::string &resource() const { return res; }
+    /** Execute the stage on @p task. @return modeled seconds this
+     * stage's device is busy with the frame — the cost the virtual
+     * timeline schedules. */
+    double process(FrameTask &task) const;
 
   private:
     const PreprocessingEngine &pre;
@@ -69,7 +80,7 @@ class OctreeBuildStage : public PipelineStage
 };
 
 /** Down-sampling Unit on the FPGA (OIS-FPS over the Octree-Table). */
-class DownSampleStage : public PipelineStage
+class DownSampleStage
 {
   public:
     /**
@@ -78,8 +89,8 @@ class DownSampleStage : public PipelineStage
      * @param stage_resource Device name; keep equal to the
      *        InferenceStage's to model the single shared FPGA.
      * @param stream_workload Optional cross-frame aggregate the
-     *        stage merges each frame's pre-processing counters into
-     *        — workers run concurrently, hence the locked set.
+     *        stage merges each frame's pre-processing counters
+     *        into.
      */
     DownSampleStage(const PreprocessingEngine &engine,
                     std::size_t input_points,
@@ -90,9 +101,9 @@ class DownSampleStage : public PipelineStage
     {
     }
 
-    const std::string &name() const override { return nm; }
-    const std::string &resource() const override { return res; }
-    double process(FrameTask &task) const override;
+    const std::string &name() const { return nm; }
+    const std::string &resource() const { return res; }
+    double process(FrameTask &task) const;
 
   private:
     const PreprocessingEngine &pre;
@@ -103,7 +114,7 @@ class DownSampleStage : public PipelineStage
 };
 
 /** Inference on the deployed execution backend. */
-class InferenceStage : public PipelineStage
+class InferenceStage
 {
   public:
     /**
@@ -131,9 +142,9 @@ class InferenceStage : public PipelineStage
     {
     }
 
-    const std::string &name() const override { return nm; }
-    const std::string &resource() const override { return res; }
-    double process(FrameTask &task) const override;
+    const std::string &name() const { return nm; }
+    const std::string &resource() const { return res; }
+    double process(FrameTask &task) const;
 
     /** One ExecutionBackend::inferBatch pass over the coalesced
      * frames sharing a single leased workspace arena; per-frame
@@ -141,7 +152,7 @@ class InferenceStage : public PipelineStage
      * SOLO modeled seconds (the timeline charges the shared batched
      * occupancy separately via batchServiceSec). */
     void processBatch(std::span<FrameTask *const> tasks,
-                      std::span<double> costs) const override;
+                      std::span<double> costs) const;
 
     /** @return the backend this stage executes on. */
     const ExecutionBackend &backend() const { return be; }

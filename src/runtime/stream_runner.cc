@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
-#include "backends/hgpcn_backend.h"
 #include "common/logging.h"
 #include "core/temporal_preprocess.h"
 #include "obs/trace.h"
@@ -166,25 +168,6 @@ makeCarry(const PreprocessingEngine &preprocess,
     return std::make_shared<TemporalPreprocessState>(tc);
 }
 
-std::vector<StagePipeline::StageSpec>
-makeSpecs(const OctreeBuildStage &build, const DownSampleStage &sample,
-          const InferenceStage &infer, const BatchPolicy &batch,
-          const StreamRunner::Config &cfg)
-{
-    StagePipeline::StageSpec inference{&infer, cfg.fpgaUnits,
-                                       nullptr};
-    if (batch.maxBatch > 1) {
-        // The coalescing point is an ordering point: one worker
-        // assembles deterministic admission-index groups (the
-        // virtual timeline still schedules fpgaUnits device units).
-        inference.workers = 1;
-        inference.batch = &batch;
-    }
-    return {{&build, cfg.buildWorkers},
-            {&sample, cfg.fpgaUnits},
-            inference};
-}
-
 /** Down-sampling device: the FPGA, split into its DSU half only
  * when an FPGA-resident backend runs unshared. */
 std::string
@@ -208,15 +191,18 @@ inferResource(const ExecutionBackend &backend,
     return backend.resource();
 }
 
-StagePipeline::Config
-pipelineConfig(const StreamRunner::Config &cfg)
+/** Run @p stage on @p task under its host:<stage> wall span and
+ * record the modeled cost as stage @p s. */
+template <class Stage>
+void
+runStage(const Stage &stage, std::size_t s, FrameTask &task)
 {
-    StagePipeline::Config pc;
-    pc.queueCapacity = cfg.maxInFlight > 0
-                           ? std::min(cfg.queueCapacity,
-                                      cfg.maxInFlight)
-                           : cfg.queueCapacity;
-    return pc;
+    TraceIds ids;
+    ids.frame = static_cast<std::int64_t>(task.index);
+    HGPCN_TRACE_WALL_SPAN(span, "host:" + stage.name(),
+                          stage.resource(), "wall/" + stage.name(),
+                          ids);
+    task.stageCostSec[s] = stage.process(task);
 }
 
 } // namespace
@@ -288,24 +274,14 @@ RuntimeReport::toString() const
 }
 
 StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
-                           std::unique_ptr<ExecutionBackend>
-                               owned_backend,
-                           const ExecutionBackend *borrowed_backend,
+                           const ExecutionBackend &backend,
                            const Config &config)
-    : cfg(config), owned(std::move(owned_backend)),
-      carry(makeCarry(preprocess, config)),
+    : cfg(config), carry(makeCarry(preprocess, config)),
       build(preprocess, "cpu", carry.get()),
       sample(preprocess, config.inputPoints,
-             sampleResource(owned ? *owned : *borrowed_backend,
-                            config),
-             &streamWorkload),
-      infer(owned ? *owned : *borrowed_backend,
-            inferResource(owned ? *owned : *borrowed_backend,
-                          config),
-            &workspacePool, config.intraOpThreads),
-      batchPolicy{config.maxBatch, config.batchTimeoutVirtualSec},
-      pipeline(makeSpecs(build, sample, infer, batchPolicy, config),
-               pipelineConfig(config))
+             sampleResource(backend, config), &streamWorkload),
+      infer(backend, inferResource(backend, config), &workspacePool,
+            config.intraOpThreads)
 {
     HGPCN_ASSERT(cfg.inputPoints >= 1, "inputPoints must be >= 1");
     HGPCN_ASSERT(cfg.buildWorkers >= 1, "buildWorkers must be >= 1");
@@ -317,23 +293,6 @@ StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
                  "batchTimeoutVirtualSec must be >= 0");
     if (carry)
         carry->setObservability(&metricsReg, cfg.traceShard);
-}
-
-StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
-                           const ExecutionBackend &backend,
-                           const Config &config)
-    : StreamRunner(preprocess, nullptr, &backend, config)
-{
-}
-
-StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
-                           const InferenceEngine &inference,
-                           const PointNet2 &model,
-                           const Config &config)
-    : StreamRunner(preprocess,
-                   std::make_unique<HgpcnBackend>(inference, model),
-                   nullptr, config)
-{
 }
 
 StreamRunner::Config
@@ -409,21 +368,19 @@ StreamRunner::run(const std::vector<Frame> &frames,
     }
     streamWorkload.clear();
 
-    // Real concurrent execution of the functional work.
-    std::vector<std::unique_ptr<FrameTask>> tasks;
-    tasks.reserve(frames.size());
+    // Functional execution: every frame computed once, in order.
+    std::vector<FrameTask> tasks(frames.size());
     for (std::size_t i = 0; i < frames.size(); ++i) {
-        auto task = std::make_unique<FrameTask>();
-        task->index = i;
-        task->frame = &frames[i];
+        FrameTask &task = tasks[i];
+        task.index = i;
+        task.frame = &frames[i];
+        task.stageCostSec.assign(3, 0.0);
         if (trace_ids != nullptr)
-            task->sensor = trace_ids->sensor[i];
+            task.sensor = trace_ids->sensor[i];
         if (faults != nullptr)
-            task->fault = (*faults)[i];
-        tasks.push_back(std::move(task));
+            task.fault = (*faults)[i];
     }
-    std::vector<std::unique_ptr<FrameTask>> completed =
-        pipeline.run(std::move(tasks), on_frame);
+    const std::vector<FrameTask *> completed = execute(tasks, on_frame);
 
     // Virtual-time schedule over the recorded cycle-model costs.
     const double t0 = frames.front().timestamp;
@@ -431,7 +388,7 @@ StreamRunner::run(const std::vector<Frame> &frames,
     std::vector<std::vector<double>> costs;
     arrivals.reserve(completed.size());
     costs.reserve(completed.size());
-    for (const auto &task : completed) {
+    for (const FrameTask *task : completed) {
         arrivals.push_back(paced ? task->frame->timestamp - t0
                                  : 0.0);
         costs.push_back(task->stageCostSec);
@@ -578,7 +535,7 @@ StreamRunner::run(const std::vector<Frame> &frames,
         std::vector<FrameFaultDirective> fault_by_j;
         if (faults != nullptr) {
             fault_by_j.reserve(completed.size());
-            for (const auto &task : completed)
+            for (const FrameTask *task : completed)
                 fault_by_j.push_back(task->fault);
         }
         emitVirtualTrace(Tracer::global(), timeline, tl.stages,
@@ -669,10 +626,107 @@ StreamRunner::run(const std::vector<Frame> &frames,
     return out;
 }
 
+std::vector<FrameTask *>
+StreamRunner::execute(std::vector<FrameTask> &tasks,
+                      const FrameTaskCallback &on_frame)
+{
+    // The restart contract: a stop belongs to the run it aborted.
+    stopped.store(false);
+    const std::size_t n = tasks.size();
+    const std::size_t unit = cfg.maxBatch;
+
+    // Frames below `ready` have their octree built; the lookahead
+    // thread may build frames below `horizon` — the unit the caller
+    // is waiting for or working on and the next one, never further.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t ready = 0;
+    std::size_t horizon = 0;
+    bool quit = false;
+    std::thread lookahead([&] {
+        for (std::size_t i = 0; i < n; ++i) {
+            {
+                std::unique_lock<std::mutex> lock(mu);
+                cv.wait(lock, [&] { return quit || i < horizon; });
+                if (quit)
+                    return;
+            }
+            runStage(build, 0, tasks[i]);
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                ready = i + 1;
+            }
+            cv.notify_all();
+        }
+    });
+    // Joins on every exit path; a stopped run's lookahead is
+    // discarded with the frames it belongs to.
+    const auto join = [&] {
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            quit = true;
+        }
+        cv.notify_all();
+        lookahead.join();
+    };
+
+    std::vector<FrameTask *> done;
+    done.reserve(n);
+    try {
+        for (std::size_t begin = 0; begin < n && !stopped.load();
+             begin += unit) {
+            const std::size_t end = std::min(begin + unit, n);
+            {
+                // Open the next unit before waiting, so a build-bound
+                // lookahead never stalls on this thread's wake-up.
+                std::unique_lock<std::mutex> lock(mu);
+                horizon = std::min(end + unit, n);
+                cv.notify_all();
+                cv.wait(lock, [&] { return ready >= end; });
+            }
+            for (std::size_t i = begin; i < end; ++i)
+                runStage(sample, 1, tasks[i]);
+            if (unit == 1) {
+                runStage(infer, 2, tasks[begin]);
+            } else {
+                std::vector<FrameTask *> group;
+                for (std::size_t i = begin; i < end; ++i)
+                    group.push_back(&tasks[i]);
+                std::vector<double> costs(group.size(), 0.0);
+                {
+                    TraceIds ids;
+                    ids.frame = static_cast<std::int64_t>(begin);
+                    HGPCN_TRACE_WALL_SPAN(
+                        span,
+                        "host:" + infer.name() + ":batch" +
+                            std::to_string(group.size()),
+                        infer.resource(), "wall/" + infer.name(),
+                        ids);
+                    infer.processBatch(group, costs);
+                }
+                for (std::size_t j = 0; j < group.size(); ++j)
+                    group[j]->stageCostSec[2] = costs[j];
+            }
+            for (std::size_t i = begin; i < end; ++i) {
+                if (stopped.load())
+                    break;
+                if (on_frame)
+                    on_frame(tasks[i]);
+                done.push_back(&tasks[i]);
+            }
+        }
+    } catch (...) {
+        join();
+        throw;
+    }
+    join();
+    return done;
+}
+
 void
 StreamRunner::requestStop()
 {
-    pipeline.requestStop();
+    stopped.store(true);
 }
 
 } // namespace hgpcn

@@ -5,10 +5,21 @@
  * The front door of the streaming runtime (docs/RUNTIME.md). A
  * runner owns the three stages — OctreeBuildStage (CPU),
  * DownSampleStage (FPGA) and a backend-parameterized InferenceStage
- * (src/backends) — admits a frame stream at the sensor rate,
- * executes the functional work on a real concurrent StagePipeline,
- * schedules the recorded cycle-model costs on the virtual timeline
- * and reports sustained throughput, tail latency, per-stage
+ * (src/backends) — and works on two clocks:
+ *
+ *  - Wall clock: every frame is computed once, in stream order, by
+ *    two host engines, mirroring the modeled devices of Fig. 4. A
+ *    lookahead thread builds the next frame's octree (the "cpu"
+ *    stage) while the calling thread down-samples and infers the
+ *    current one (the "fpga" stages) and calls the per-frame hook.
+ *    With maxBatch > 1 the unit is a fixed admission-index group
+ *    [g*B, (g+1)*B) instead of a frame.
+ *  - Virtual time: the recorded cycle-model costs are scheduled by
+ *    simulateTimeline (runtime/virtual_timeline.h), which alone
+ *    models worker and device counts, queue capacity, admission
+ *    credit, overload policy and batch formation.
+ *
+ * The report gives sustained throughput, tail latency, per-stage
  * occupancy/utilization, drops and the Section VII-E real-time
  * verdict. This RuntimeReport supersedes StreamReport's
  * single-number pipelinedFps estimate; HgPcnSystem::processStream
@@ -33,16 +44,14 @@
 #include "common/real_time.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
-#include "runtime/stage_pipeline.h"
+#include "runtime/stage.h"
 #include "runtime/stages.h"
 #include "runtime/virtual_timeline.h"
 
 namespace hgpcn
 {
 
-class InferenceEngine; // compat constructor only (core/)
-
-/** One frame that completed the pipeline (not dropped). */
+/** One frame that completed the run (not dropped or abandoned). */
 struct ProcessedFrame
 {
     std::size_t index = 0;  //!< position in the input stream
@@ -146,7 +155,7 @@ struct StreamTraceIds
     std::vector<std::int64_t> sensor;
 };
 
-/** Concurrent stage-pipeline runner over the HgPCN engines. */
+/** In-order two-engine runner over the HgPCN engines. */
 class StreamRunner
 {
   public:
@@ -157,13 +166,15 @@ class StreamRunner
          * constructing a StreamRunner directly requires nonzero. */
         std::size_t inputPoints = 0;
 
-        /** Octree-build workers — host CPU cores devoted to
+        /** Octree-build units of the modeled CPU — cores devoted to
          * building frame i+1's (i+2's, ...) octree while the FPGA
-         * works on frame i. */
+         * works on frame i. Virtual timeline only: the host always
+         * builds one frame at a time. */
         std::size_t buildWorkers = 1;
 
-        /** FPGA devices. Each runs OIS down-sampling and inference
-         * serially (shareFpga) or in parallel unit pairs. */
+        /** Modeled FPGA devices. Each runs OIS down-sampling and
+         * inference serially (shareFpga) or in parallel unit pairs.
+         * Virtual timeline only. */
         std::size_t fpgaUnits = 1;
 
         /** true: down-sampling and inference contend for the same
@@ -171,14 +182,17 @@ class StreamRunner
          * pipelinedFps model). false: independent devices. */
         bool shareFpga = true;
 
-        /** Capacity of each inter-stage queue (>= 1). */
+        /** Capacity of each modeled inter-stage queue (>= 1).
+         * Virtual timeline only. */
         std::size_t queueCapacity = 8;
 
         /** Admission credit: max frames admitted-but-unfinished;
-         * 0 = bounded only by queues and units. */
+         * 0 = bounded only by queues and units. Virtual timeline
+         * only. */
         std::size_t maxInFlight = 0;
 
-        /** Source-queue behavior when full (virtual timeline). */
+        /** Source-queue behavior when full. Virtual timeline only:
+         * the host computes every frame. */
         OverloadPolicy policy = OverloadPolicy::Block;
 
         /** true: admit each frame at its sensor timestamp; false:
@@ -198,23 +212,25 @@ class StreamRunner
          * same sensor (one carried slot per sensor id passed to
          * run(); one slot without ids) and the storage is pooled.
          * Wall-clock only — every output bit is identical either
-         * way; the carry serializes the build stage across
-         * buildWorkers (frames queue on its mutex). */
+         * way. */
         bool temporalCache = true;
 
         /** Cross-sensor micro-batching: frames coalesced per
-         * inference pass (runtime/batching_stage.h). 1 (default)
-         * disables batching — pipeline, timeline and report are
-         * byte-identical to a build without the feature. > 1 makes
-         * the inference stage the coalescing point: per-frame
-         * outputs and modeled numbers stay bit-identical; only the
-         * schedule (shared device occupancy) moves. */
+         * inference pass. 1 (default) disables batching — timeline
+         * and report are byte-identical to a build without the
+         * feature. > 1 makes the inference stage the coalescing
+         * point: the host infers fixed admission-index groups
+         * [g*B, (g+1)*B) in one ExecutionBackend::inferBatch pass,
+         * while the virtual timeline forms batches from its own
+         * backlog. Per-frame outputs and modeled numbers stay
+         * bit-identical; only the schedule (shared device
+         * occupancy) moves. */
         std::size_t maxBatch = 1;
 
         /** Virtual seconds the oldest queued frame waits for a
          * batch to fill before a partial batch dispatches; 0 is
          * greedy/work-conserving (batches form only under backlog).
-         * Used only when maxBatch > 1. */
+         * Used only when maxBatch > 1. Virtual timeline only. */
         double batchTimeoutVirtualSec = 0.0;
 
         /** Shard id stamped on this runner's trace events and used
@@ -235,25 +251,15 @@ class StreamRunner
                  const Config &config);
 
     /**
-     * Compatibility constructor: wrap @p inference and @p model in
-     * an owned HgpcnBackend — byte-identical schedule and outputs
-     * to the pre-backend engine-owning runner.
-     */
-    StreamRunner(const PreprocessingEngine &preprocess,
-                 const InferenceEngine &inference,
-                 const PointNet2 &model, const Config &config);
-
-    /**
      * Process @p frames end to end (blocking).
      *
      * Runners are reusable: run() starts fresh even after a
-     * previous run was aborted by requestStop() (the StagePipeline
-     * restart contract).
+     * previous run was aborted by requestStop().
      *
      * @param frames The stream; timestamps must be strictly
      *        increasing when paceBySensor is set.
      * @param on_frame Optional per-frame hook, called in stream
-     *        order on the collecting thread.
+     *        order on the calling thread.
      * @param trace_ids Optional fleet-level frame/sensor ids (see
      *        StreamTraceIds): sensor ids key the temporal carry and
      *        both tag trace events; sizes must match @p frames when
@@ -275,7 +281,9 @@ class StreamRunner
 
     /** Abort the in-progress run() from any thread (including the
      * on_frame hook); run() returns the frames completed so far.
-     * No-op against an idle runner; a later run() starts fresh. */
+     * The flag is checked before each frame's hook, so a stop from
+     * frame j's hook abandons exactly the frames after j. No-op
+     * against an idle runner; a later run() starts fresh. */
     void requestStop();
 
     /**
@@ -293,24 +301,23 @@ class StreamRunner
     const ExecutionBackend &backend() const { return infer.backend(); }
 
   private:
-    /** Shared delegate of the two public constructors. */
-    StreamRunner(const PreprocessingEngine &preprocess,
-                 std::unique_ptr<ExecutionBackend> owned_backend,
-                 const ExecutionBackend *borrowed_backend,
-                 const Config &config);
+    /** Compute @p tasks once each, in order, on the two host
+     * engines (see the file comment). @return the frames whose
+     * hook ran, in stream order — all of them unless stopped. */
+    std::vector<FrameTask *> execute(std::vector<FrameTask> &tasks,
+                                     const FrameTaskCallback &on_frame);
 
     Config cfg;
+    std::atomic<bool> stopped{false};
     /** Per-run metrics registry (cleared at each run() start;
      * frozen into RuntimeResult::metrics at the end). */
     MetricsRegistry metricsReg;
-    /** Set only by the compatibility constructor (declared before
-     * the stages so the InferenceStage can reference it). */
-    std::unique_ptr<ExecutionBackend> owned;
-    /** Cross-frame workload aggregate, merged into by down-sample
-     * workers concurrently; snapshot into RuntimeResult::workload. */
+    /** Cross-frame workload aggregate, merged into by the
+     * down-sample stage; snapshot into
+     * RuntimeResult::workload. */
     ConcurrentStatSet streamWorkload;
-    /** Reusable frame workspaces leased by inference workers; warm
-     * across frames and runs (declared before the stages that
+    /** Reusable frame workspaces leased by the inference stage;
+     * warm across frames and runs (declared before the stages that
      * borrow it). */
     WorkspacePool workspacePool;
     /** Cross-frame pre-processing cache (null when temporalCache is
@@ -319,10 +326,6 @@ class StreamRunner
     OctreeBuildStage build;
     DownSampleStage sample;
     InferenceStage infer;
-    /** Coalescing policy referenced by the pipeline's inference
-     * StageSpec (declared before the pipeline that borrows it). */
-    BatchPolicy batchPolicy;
-    StagePipeline pipeline;
 };
 
 } // namespace hgpcn

@@ -1,6 +1,6 @@
 /**
  * @file
- * Deterministic virtual-time scheduler for the stage pipeline.
+ * Deterministic virtual-time scheduler for the modeled stage pipeline.
  *
  * The runtime keeps two clocks (docs/RUNTIME.md): wall-clock threads
  * carry the functional computation, while *modeled* per-stage costs

@@ -11,7 +11,7 @@
  * (which ARE virtual times in a paced stream), the plan's keyed
  * draws and the breaker state machines — no wall clock, no
  * threads. Resolving before the functional run is what keeps a
- * faulted serve byte-identical on replay: the wall-clock pipeline
+ * faulted serve byte-identical on replay: the wall-clock run
  * merely executes a schedule the resolution already fixed.
  *
  * Failover policy, in arrival order per frame:

@@ -165,7 +165,7 @@ ShardedRunner::serve(const SensorStream &stream,
     // Fault resolution (dispatch time, virtual clock): route around
     // crashed/tripped shards and fix every frame's retry/backoff/
     // degradation outcome before any functional work runs — the
-    // wall-clock pipeline then merely executes a schedule that is
+    // wall-clock run then merely executes a schedule that is
     // already deterministic. Skipped entirely for an empty plan, so
     // the zero-fault serve is byte-identical to a pre-fault build.
     const bool faulted =
@@ -211,10 +211,16 @@ ShardedRunner::serve(const SensorStream &stream,
             .add(res.failovers.size());
         fault_metrics.counter("fault.frames_redirected")
             .add(res.framesRedirected);
+        // Trace snapshots sort canonically, so each transition's
+        // counter can be emitted where it is tallied.
         std::size_t trips = 0;
         for (const BreakerTransition &tr : res.transitions) {
             if (tr.to == BreakerState::Open)
                 ++trips;
+            HGPCN_TRACE_EVENT(Tracer::global().counter(
+                TraceClock::Virtual, tr.timeSec,
+                "breaker:shard" + std::to_string(tr.shard),
+                "serving/health", breakerStateGauge(tr.to)));
         }
         fault_metrics.counter("fault.breaker_trips").add(trips);
         if (HGPCN_TRACE_ENABLED()) {
@@ -226,12 +232,6 @@ ShardedRunner::serve(const SensorStream &stream,
                     TraceClock::Virtual, ev.timeSec,
                     "failover:shard" + std::to_string(ev.toShard),
                     "fault", "serving/failover", ids));
-            }
-            for (const BreakerTransition &tr : res.transitions) {
-                HGPCN_TRACE_EVENT(Tracer::global().counter(
-                    TraceClock::Virtual, tr.timeSec,
-                    "breaker:shard" + std::to_string(tr.shard),
-                    "serving/health", breakerStateGauge(tr.to)));
             }
         }
     }
@@ -302,10 +302,10 @@ ShardedRunner::serve(const SensorStream &stream,
     }
 
     // Execute: every shard drains its sub-stream on its own
-    // pipeline, concurrently with the others. Stops (fleet-wide or
+    // thread, concurrently with the others. Stops (fleet-wide or
     // per-shard) are re-asserted through the per-frame hook so a
     // shard that enters run() after the stop — run() resets the
-    // pipeline's own flag — still truncates at its first emission
+    // runner's own flag — still truncates at its first emission
     // instead of resurrecting a stopped serve.
     std::vector<std::thread> threads;
     threads.reserve(n_shards);

@@ -4,7 +4,7 @@
  *
  * N independent shards — each with its own PreprocessingEngine,
  * execution backend (src/backends), model replica and StreamRunner
- * pipeline — behind a front-end dispatcher that demultiplexes a
+ * — behind a front-end dispatcher that demultiplexes a
  * tagged SensorStream across them under a pluggable placement
  * policy (serving/placement.h). Shard results merge into one
  * ServingReport: global sustained FPS, per-shard / per-sensor /
@@ -25,7 +25,12 @@
  * outputs still agree whenever the backends execute the same
  * data-structuring workload.)
  *
- * Restart contract (same as StagePipeline/StreamRunner):
+ * Execution: each shard's StreamRunner runs on its own thread —
+ * one in-order loop per shard, whose lookahead thread builds the
+ * shard's next octree while the shard thread down-samples and
+ * infers the current frame (runtime/stream_runner.h).
+ *
+ * Restart contract (same as StreamRunner):
  * requestStop()/requestStopShard() abort the serve in progress; a
  * later serve() starts fresh.
  *
@@ -60,7 +65,7 @@ namespace hgpcn
 {
 
 /** Per-frame serving hook: (shard, completed task), called on that
- * shard's collecting thread in the shard's admission order. */
+ * shard's thread in the shard's admission order. */
 using ServingFrameCallback =
     std::function<void(std::size_t shard, const FrameTask &task)>;
 
@@ -125,7 +130,7 @@ class ShardedRunner
 
     /**
      * Serve @p stream end to end (blocking): dispatch every tagged
-     * frame to a shard, run all shard pipelines concurrently, merge
+     * frame to a shard, run all shard runners concurrently, merge
      * the shard reports.
      *
      * Reusable: serve() starts fresh even after a previous serve
@@ -150,7 +155,7 @@ class ShardedRunner
 
     /** Abort the serve in progress on one shard only; the other
      * shards keep draining their sub-streams. Sticky for the serve
-     * in progress (a stop that races the shard's pipeline startup
+     * in progress (a stop that races the shard's runner startup
      * still truncates it at its first emission); cleared, like
      * requestStop(), on the next serve(). */
     void requestStopShard(std::size_t shard);

@@ -258,27 +258,28 @@ TEST(ExecutionBackend, ServiceEstimateIsDeterministicAndCached)
 
 // -------------------------------------- Backend-parameterized runner
 
-TEST(StreamRunner, HgpcnBackendReproducesEngineRunnerBitForBit)
+TEST(StreamRunner, HgpcnBackendRunnerMatchesSystemBitForBit)
 {
-    // Acceptance: a StreamRunner handed an HgpcnBackend must be
-    // indistinguishable from the legacy engine-owning runner —
-    // same schedule, same latencies, same labels.
+    // Acceptance: a StreamRunner handed a hand-built HgpcnBackend
+    // must be indistinguishable from the system's own runner — same
+    // schedule, same latencies — and every frame must match the
+    // solo processFrame oracle.
     const SensorStream stream = tinyLidarStream(1, 4);
     const std::vector<Frame> frames = stream.framesOfSensor(0);
 
     const PreprocessingEngine pre;
     const InferenceEngine engine;
     const PointNet2 net(tinyClassifier());
+    const HgPcnSystem system(HgPcnSystem::Config{}, tinyClassifier());
 
     StreamRunner::Config rc;
     rc.inputPoints = 256;
     rc.buildWorkers = 2;
 
-    StreamRunner legacy(pre, engine, net, rc); // compat ctor
     const HgpcnBackend backend(engine, net);
     StreamRunner lifted(pre, backend, rc);
 
-    const RuntimeResult a = legacy.run(frames);
+    const RuntimeResult a = system.runStream(frames, rc);
     const RuntimeResult b = lifted.run(frames);
 
     ASSERT_EQ(a.frames.size(), b.frames.size());
@@ -290,9 +291,10 @@ TEST(StreamRunner, HgpcnBackendReproducesEngineRunnerBitForBit)
     for (std::size_t i = 0; i < a.frames.size(); ++i) {
         EXPECT_DOUBLE_EQ(a.frames[i].latencySec,
                          b.frames[i].latencySec);
-        EXPECT_EQ(a.frames[i].result.inference.output.labels,
+        const E2eResult solo = system.processFrame(frames[i].cloud);
+        EXPECT_EQ(solo.inference.output.labels,
                   b.frames[i].result.inference.output.labels);
-        EXPECT_DOUBLE_EQ(a.frames[i].result.totalSec(),
+        EXPECT_DOUBLE_EQ(solo.totalSec(),
                          b.frames[i].result.totalSec());
     }
 }

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for cross-sensor micro-batching: the wall-clock assembler
- * (runtime/batching_stage.h), the virtual timeline's batched
- * dispatch and charging, the backend batch contract
+ * Tests for cross-sensor micro-batching: the virtual timeline's
+ * batched dispatch and charging, the backend batch contract
  * (inferBatch/batchServiceSec), the NN-level stacked execution
  * (PointNet2::runBatch) and the end-to-end StreamRunner /
  * ShardedRunner invariants: per-frame outputs bit-identical at any
@@ -24,7 +23,6 @@
 #include "core/hgpcn_system.h"
 #include "datasets/kitti_like.h"
 #include "datasets/sensor_stream.h"
-#include "runtime/batching_stage.h"
 #include "runtime/stream_runner.h"
 #include "runtime/virtual_timeline.h"
 #include "serving/sharded_runner.h"
@@ -96,66 +94,6 @@ randomCloud(std::size_t n, std::uint64_t seed)
                    rng.uniform(0.0f, 1.0f)});
     }
     return cloud;
-}
-
-std::unique_ptr<FrameTask>
-taskWithIndex(std::size_t index)
-{
-    auto task = std::make_unique<FrameTask>();
-    task->index = index;
-    return task;
-}
-
-// ------------------------------------------------- BatchingStage
-
-TEST(BatchingStage, InOrderArrivalReleasesFullGroups)
-{
-    BatchingStage assembler(2);
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < 6; ++i) {
-        for (auto &g : assembler.add(taskWithIndex(i))) {
-            std::vector<std::size_t> idx;
-            for (const auto &t : g)
-                idx.push_back(t->index);
-            groups.push_back(idx);
-        }
-    }
-    ASSERT_EQ(groups.size(), 3u);
-    EXPECT_EQ(groups[0], (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(groups[1], (std::vector<std::size_t>{2, 3}));
-    EXPECT_EQ(groups[2], (std::vector<std::size_t>{4, 5}));
-    EXPECT_EQ(assembler.pendingCount(), 0u);
-}
-
-TEST(BatchingStage, OutOfOrderArrivalHoldsUntilGroupComplete)
-{
-    // Upstream pools emit in any order; composition must not care.
-    BatchingStage assembler(4);
-    for (const std::size_t i : {4, 5, 6, 7, 1, 2, 3})
-        EXPECT_TRUE(assembler.add(taskWithIndex(i)).empty());
-    EXPECT_EQ(assembler.pendingCount(), 7u);
-    // Index 0 plugs the gap and releases BOTH groups, in order.
-    const auto groups = assembler.add(taskWithIndex(0));
-    ASSERT_EQ(groups.size(), 2u);
-    EXPECT_EQ(groups[0].front()->index, 0u);
-    EXPECT_EQ(groups[0].back()->index, 3u);
-    EXPECT_EQ(groups[1].front()->index, 4u);
-    EXPECT_EQ(groups[1].back()->index, 7u);
-}
-
-TEST(BatchingStage, FlushEmitsPartialTailInIndexOrder)
-{
-    BatchingStage assembler(4);
-    std::size_t released = 0;
-    for (std::size_t i = 0; i < 6; ++i)
-        released += assembler.add(taskWithIndex(i)).size();
-    EXPECT_EQ(released, 1u); // [0..3]
-    const auto tail = assembler.flush();
-    ASSERT_EQ(tail.size(), 1u);
-    ASSERT_EQ(tail[0].size(), 2u);
-    EXPECT_EQ(tail[0][0]->index, 4u);
-    EXPECT_EQ(tail[0][1]->index, 5u);
-    EXPECT_EQ(assembler.pendingCount(), 0u);
 }
 
 // -------------------------------------- VirtualTimeline batching

@@ -265,7 +265,7 @@ TEST(HgPcnSystem, PipelinedFpsMatchesSingleWorkerRunner)
 
     // Same number through the runner API directly.
     StreamRunner runner(
-        system.preprocessor(), system.inferencer(), system.model(),
+        system.preprocessor(), system.backend(),
         StreamRunner::compat(frames.size(),
                              system.config().inputPoints));
     const RuntimeResult rt = runner.run(frames);

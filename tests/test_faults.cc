@@ -700,6 +700,10 @@ TEST(FaultServing, ElasticDegradeInsteadOfShedKeepsSensorsLive)
 
 TEST(FaultServing, FaultEventsAppearInTheVirtualTrace)
 {
+#ifdef HGPCN_TRACING_DISABLED
+    GTEST_SKIP() << "instrumentation macros compiled out "
+                    "(HGPCN_DISABLE_TRACING)";
+#endif
     HgPcnSystem::Config system;
     const PointNet2Spec spec = tinyClassifier();
 

@@ -6,8 +6,8 @@
  * ShardedRunner serve's virtual-time trace must be byte-identical
  * across runs), per-frame stall-span conservation against reported
  * latencies, report-from-metrics equality, tracing-on/off modeled
- * invariance, the pluggable LogSink, and BoundedQueue depth
- * sampling.
+ * invariance, the runner's host:<stage> wall spans, and the
+ * pluggable LogSink.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/bounded_queue.h"
 #include "common/logging.h"
 #include "core/hgpcn_system.h"
 #include "datasets/kitti_like.h"
@@ -507,6 +506,60 @@ TEST(ObsRuntime, BatchMetricsMatchReport)
     EXPECT_EQ(batch_spans, rt.report.batchCount);
 }
 
+TEST(ObsRuntime, HostWallSpansNameEachStage)
+{
+#ifdef HGPCN_TRACING_DISABLED
+    GTEST_SKIP() << "instrumentation macros compiled out "
+                    "(HGPCN_DISABLE_TRACING)";
+#endif
+    // The runner's wall attribution: one host:<stage> span per frame
+    // and stage on wall/<stage>; with maxBatch 4 inference spans one
+    // admission-index group each, named by its size and tagged with
+    // the group's first frame (6 frames: groups [0,4) and [4,6)).
+    GlobalTracerGuard guard;
+    const std::vector<Frame> frames = smallKittiStream(6);
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
+        StreamRunner::Config rc;
+        rc.maxBatch = max_batch;
+        Tracer::global().clear();
+        Tracer::global().setEnabled(true);
+        system.runStream(frames, rc);
+        Tracer::global().setEnabled(false);
+
+        std::map<std::string, std::vector<std::int64_t>> frames_by_span;
+        for (const TraceEvent &ev : Tracer::global().snapshot()) {
+            if (ev.clock != TraceClock::Wall ||
+                ev.name.rfind("host:", 0) != 0)
+                continue;
+            EXPECT_EQ(ev.phase, TracePhase::Complete);
+            frames_by_span[ev.name + " " + ev.track].push_back(
+                ev.ids.frame);
+        }
+        for (auto &[span, ids] : frames_by_span)
+            std::sort(ids.begin(), ids.end());
+        const std::vector<std::int64_t> all{0, 1, 2, 3, 4, 5};
+        EXPECT_EQ(frames_by_span["host:octree-build wall/octree-build"],
+                  all);
+        EXPECT_EQ(frames_by_span["host:down-sample wall/down-sample"],
+                  all);
+        if (max_batch == 1) {
+            EXPECT_EQ(frames_by_span["host:inference wall/inference"],
+                      all);
+            EXPECT_EQ(frames_by_span.size(), 3u);
+        } else {
+            EXPECT_EQ(
+                frames_by_span["host:inference:batch4 wall/inference"],
+                std::vector<std::int64_t>{0});
+            EXPECT_EQ(
+                frames_by_span["host:inference:batch2 wall/inference"],
+                std::vector<std::int64_t>{4});
+            EXPECT_EQ(frames_by_span.size(), 4u);
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Serving integration: byte-identity, merged metrics
 // ---------------------------------------------------------------
@@ -630,44 +683,6 @@ TEST(LogSink, LevelNames)
     EXPECT_STREQ(logLevelName(LogLevel::Warn), "warn");
     EXPECT_STREQ(logLevelName(LogLevel::Fatal), "fatal");
     EXPECT_STREQ(logLevelName(LogLevel::Panic), "panic");
-}
-
-// ---------------------------------------------------------------
-// BoundedQueue depth sampling
-// ---------------------------------------------------------------
-
-TEST(ObsQueue, DepthCounterTracksOccupancy)
-{
-#ifdef HGPCN_TRACING_DISABLED
-    GTEST_SKIP() << "instrumentation macros compiled out "
-                    "(HGPCN_DISABLE_TRACING)";
-#endif
-    Tracer tracer;
-    tracer.setEnabled(true);
-    BoundedQueue<int> q(4);
-    q.instrument(&tracer, "stage-in");
-    ASSERT_EQ(q.push(1), PushOutcome::Pushed);
-    ASSERT_EQ(q.push(2), PushOutcome::Pushed);
-    ASSERT_EQ(q.push(3), PushOutcome::Pushed);
-    (void)q.pop();
-    (void)q.pop();
-
-    std::vector<double> depths;
-    for (const TraceEvent &ev : tracer.snapshot()) {
-        ASSERT_EQ(ev.phase, TracePhase::Counter);
-        ASSERT_EQ(ev.track, "queue:stage-in");
-        ASSERT_EQ(ev.name, "depth");
-        depths.push_back(ev.value);
-    }
-    // Wall timestamps are monotone within one thread, so the
-    // canonical order preserves the operation order.
-    EXPECT_EQ(depths,
-              (std::vector<double>{1.0, 2.0, 3.0, 2.0, 1.0}));
-
-    // Detached: no further samples.
-    q.instrument(nullptr, "");
-    (void)q.pop();
-    EXPECT_EQ(tracer.eventCount(), 5u);
 }
 
 // ---------------------------------------------------------------

@@ -1,25 +1,20 @@
 /**
  * @file
- * Tests for the streaming runtime: BoundedQueue semantics, the
- * deterministic virtual timeline, the threaded stage pipeline and
- * the end-to-end StreamRunner. The concurrency cases here are the
- * ones CI runs under ThreadSanitizer (see .github/workflows/ci.yml).
+ * Tests for the streaming runtime: the deterministic virtual
+ * timeline and the end-to-end StreamRunner, including its in-order
+ * hook and stop contract. The concurrency cases here are the ones
+ * CI runs under ThreadSanitizer (see .github/workflows/ci.yml).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <utility>
 
-#include "common/bounded_queue.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "core/hgpcn_system.h"
 #include "datasets/coherent_drive.h"
 #include "datasets/kitti_like.h"
-#include "runtime/stage_pipeline.h"
 #include "runtime/stream_runner.h"
 #include "runtime/virtual_timeline.h"
 
@@ -27,107 +22,6 @@ namespace hgpcn
 {
 namespace
 {
-
-// ----------------------------------------------------- BoundedQueue
-
-TEST(BoundedQueue, FifoOrderAndCounters)
-{
-    BoundedQueue<int> q(4);
-    EXPECT_EQ(q.push(1), PushOutcome::Pushed);
-    EXPECT_EQ(q.push(2), PushOutcome::Pushed);
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    const auto c = q.counters();
-    EXPECT_EQ(c.pushed, 2u);
-    EXPECT_EQ(c.popped, 2u);
-    EXPECT_EQ(c.peakSize, 2u);
-}
-
-TEST(BoundedQueue, DropOldestEvictsFront)
-{
-    BoundedQueue<int> q(2, OverloadPolicy::DropOldest);
-    q.push(1);
-    q.push(2);
-    EXPECT_EQ(q.push(3), PushOutcome::DroppedOldest);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    EXPECT_EQ(q.counters().droppedOldest, 1u);
-}
-
-TEST(BoundedQueue, DropNewestRefusesNewcomer)
-{
-    BoundedQueue<int> q(2, OverloadPolicy::DropNewest);
-    q.push(1);
-    q.push(2);
-    EXPECT_EQ(q.push(3), PushOutcome::DroppedNewest);
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.counters().droppedNewest, 1u);
-}
-
-TEST(BoundedQueue, BackPressureBlocksProducerUntilConsumed)
-{
-    // Whether any push actually blocks before the consumer drains
-    // is a scheduling race: retry the scenario until the blocked
-    // path is observed (attempt 1 in practice). FIFO order and
-    // exactly-once delivery hold on every attempt.
-    for (int attempt = 0; attempt < 50; ++attempt) {
-        BoundedQueue<int> q(1, OverloadPolicy::Block);
-        ASSERT_EQ(q.push(0), PushOutcome::Pushed);
-
-        std::atomic<int> produced{0};
-        std::atomic<bool> started{false};
-        std::thread producer([&] {
-            started.store(true);
-            for (int i = 1; i <= 3; ++i) {
-                if (q.push(i) == PushOutcome::Pushed)
-                    produced.fetch_add(1);
-            }
-        });
-
-        // The queue starts full, so the producer's first push must
-        // wait for the first pop.
-        while (!started.load())
-            std::this_thread::yield();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-        // Every value must arrive exactly once, in order.
-        for (int expect = 0; expect <= 3; ++expect) {
-            const auto v = q.pop();
-            ASSERT_TRUE(v.has_value());
-            EXPECT_EQ(*v, expect);
-        }
-        producer.join();
-        EXPECT_EQ(produced.load(), 3);
-        if (q.counters().blockedPushes >= 1u)
-            return; // back-pressure path observed
-    }
-    FAIL() << "producer never blocked in 50 attempts";
-}
-
-TEST(BoundedQueue, CloseWakesBlockedProducerAndConsumer)
-{
-    BoundedQueue<int> q(1, OverloadPolicy::Block);
-    q.push(7);
-
-    std::atomic<bool> refused{false};
-    std::thread producer([&] {
-        refused.store(q.push(8) == PushOutcome::Closed);
-    });
-    std::thread closer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        q.close();
-    });
-    closer.join();
-    producer.join();
-    EXPECT_TRUE(refused.load());
-
-    // Remaining element still drains, then nullopt.
-    EXPECT_EQ(q.pop().value(), 7);
-    EXPECT_FALSE(q.pop().has_value());
-    EXPECT_EQ(q.push(9), PushOutcome::Closed);
-}
 
 // --------------------------------------------------- VirtualTimeline
 
@@ -270,141 +164,6 @@ TEST(VirtualTimeline, QueueOccupancyAccounted)
     EXPECT_EQ(r.stages[0].peakQueueDepth, 2u);
     EXPECT_GT(r.stages[0].meanQueueDepth, 0.0);
     EXPECT_DOUBLE_EQ(r.stages[0].utilization, 1.0);
-}
-
-// ---------------------------------------------------- StagePipeline
-
-/** Stage stub: fixed modeled cost, optional real dawdling. */
-FunctionStage
-stubStage(const std::string &name, double cost_sec,
-          int sleep_ms_first_frame = 0)
-{
-    return FunctionStage(
-        name, "dev", [cost_sec, sleep_ms_first_frame](FrameTask &t) {
-            if (sleep_ms_first_frame > 0 && t.index == 0) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(sleep_ms_first_frame));
-            }
-            return cost_sec;
-        });
-}
-
-std::vector<std::unique_ptr<FrameTask>>
-makeTasks(std::size_t n)
-{
-    std::vector<std::unique_ptr<FrameTask>> tasks;
-    for (std::size_t i = 0; i < n; ++i) {
-        auto t = std::make_unique<FrameTask>();
-        t->index = i;
-        tasks.push_back(std::move(t));
-    }
-    return tasks;
-}
-
-TEST(StagePipeline, EmitsInAdmissionOrderDespiteWorkerRaces)
-{
-    // Two workers; frame 0 dawdles, so later frames can physically
-    // finish first — the reorder buffer must still emit 0,1,2,...
-    FunctionStage slow = stubStage("work", 1e-3, /*sleep=*/20);
-    StagePipeline::Config cfg;
-    cfg.queueCapacity = 4;
-    StagePipeline pipe({{&slow, 2}}, cfg);
-
-    std::vector<std::size_t> emitted;
-    const auto out = pipe.run(makeTasks(6), [&](const FrameTask &t) {
-        emitted.push_back(t.index);
-    });
-    ASSERT_EQ(out.size(), 6u);
-    ASSERT_EQ(emitted.size(), 6u);
-    for (std::size_t i = 0; i < emitted.size(); ++i)
-        EXPECT_EQ(emitted[i], i);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i]->index, i);
-        EXPECT_DOUBLE_EQ(out[i]->stageCostSec[0], 1e-3);
-    }
-}
-
-TEST(StagePipeline, MultiStageRecordsAllCosts)
-{
-    FunctionStage a = stubStage("a", 1.0);
-    FunctionStage b = stubStage("b", 2.0);
-    StagePipeline::Config cfg;
-    StagePipeline pipe({{&a, 1}, {&b, 1}}, cfg);
-    const auto out = pipe.run(makeTasks(3));
-    ASSERT_EQ(out.size(), 3u);
-    for (const auto &t : out) {
-        EXPECT_DOUBLE_EQ(t->stageCostSec[0], 1.0);
-        EXPECT_DOUBLE_EQ(t->stageCostSec[1], 2.0);
-    }
-}
-
-TEST(StagePipeline, ShutdownWithFramesInFlight)
-{
-    // A slow stage and a long stream; stop after the first emitted
-    // frame. run() must return promptly with a truncated, ordered
-    // prefix and no deadlock.
-    FunctionStage slow(
-        "slow", "dev", [](FrameTask &) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(2));
-            return 1e-3;
-        });
-    StagePipeline::Config cfg;
-    cfg.queueCapacity = 2;
-    StagePipeline pipe({{&slow, 1}}, cfg);
-
-    std::vector<std::size_t> emitted;
-    const auto out = pipe.run(makeTasks(100), [&](const FrameTask &t) {
-        emitted.push_back(t.index);
-        pipe.requestStop();
-    });
-    EXPECT_TRUE(pipe.stopRequested());
-    EXPECT_LT(out.size(), 100u);
-    EXPECT_GE(out.size(), 1u);
-    for (std::size_t i = 1; i < emitted.size(); ++i)
-        EXPECT_LT(emitted[i - 1], emitted[i]);
-}
-
-TEST(StagePipeline, RunAfterStopProcessesFullStream)
-{
-    // Regression: `stopped` was never reset, so a pipeline was
-    // permanently dead after requestStop() — a second run()
-    // silently abandoned the whole stream. The restart contract:
-    // each run() starts fresh.
-    FunctionStage slow(
-        "slow", "dev", [](FrameTask &) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(2));
-            return 1e-3;
-        });
-    StagePipeline::Config cfg;
-    cfg.queueCapacity = 2;
-    StagePipeline pipe({{&slow, 1}}, cfg);
-
-    const auto first = pipe.run(makeTasks(50), [&](const FrameTask &) {
-        pipe.requestStop();
-    });
-    EXPECT_LT(first.size(), 50u);
-
-    const auto second = pipe.run(makeTasks(6));
-    EXPECT_FALSE(pipe.stopRequested());
-    ASSERT_EQ(second.size(), 6u);
-    for (std::size_t i = 0; i < second.size(); ++i)
-        EXPECT_EQ(second[i]->index, i);
-}
-
-TEST(StagePipeline, StopWhileIdleIsNoOp)
-{
-    // A stop against an idle pipeline belongs to no run: the next
-    // run() clears it and processes everything.
-    FunctionStage s = stubStage("s", 1.0);
-    StagePipeline::Config cfg;
-    StagePipeline pipe({{&s, 1}}, cfg);
-    pipe.requestStop();
-    EXPECT_TRUE(pipe.stopRequested());
-    const auto out = pipe.run(makeTasks(4));
-    EXPECT_FALSE(pipe.stopRequested());
-    EXPECT_EQ(out.size(), 4u);
 }
 
 // ----------------------------------------------------- StreamRunner
@@ -568,24 +327,105 @@ TEST(StreamRunner, BatchModeVerdictIsNotApplicable)
     EXPECT_EQ(text.find("real-time: YES"), std::string::npos);
 }
 
+StreamRunner::Config
+runnerConfig(const HgPcnSystem &system, std::size_t max_batch = 1)
+{
+    StreamRunner::Config rc;
+    rc.inputPoints = system.config().inputPoints;
+    rc.maxBatch = max_batch;
+    return rc;
+}
+
+TEST(StreamRunner, HookSeesEveryFrameInStreamOrder)
+{
+    // The hook runs once per frame, in stream order, after all three
+    // stages recorded their modeled costs — also when inference
+    // runs over admission-index groups (6 frames at maxBatch 4 end
+    // in a partial group).
+    const std::vector<Frame> frames = smallKittiStream(6);
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
+        StreamRunner runner(system.preprocessor(), system.backend(),
+                            runnerConfig(system, max_batch));
+        std::vector<std::size_t> seen;
+        const RuntimeResult rt =
+            runner.run(frames, [&](const FrameTask &task) {
+                seen.push_back(task.index);
+                EXPECT_EQ(task.frame, &frames[task.index]);
+                ASSERT_EQ(task.stageCostSec.size(), 3u);
+                EXPECT_EQ(task.stageCostSec[0],
+                          task.result.preprocess.octreeBuildSec);
+                EXPECT_EQ(task.stageCostSec[1],
+                          task.result.preprocess.dsu.totalSec());
+                EXPECT_EQ(task.stageCostSec[2],
+                          task.result.inference.totalSec());
+            });
+        ASSERT_EQ(seen.size(), frames.size())
+            << "maxBatch " << max_batch;
+        for (std::size_t i = 0; i < seen.size(); ++i)
+            EXPECT_EQ(seen[i], i);
+        EXPECT_EQ(rt.report.framesProcessed, frames.size());
+        EXPECT_EQ(rt.report.framesAbandoned, 0u);
+    }
+}
+
+TEST(StreamRunner, StopFromFirstHookAbandonsTheRest)
+{
+    // The stop flag is checked before each frame, so a stop from
+    // frame 0's hook completes exactly that frame — deterministic,
+    // whatever the lookahead thread was doing at the time.
+    const std::vector<Frame> frames = smallKittiStream(6);
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
+        StreamRunner runner(system.preprocessor(), system.backend(),
+                            runnerConfig(system, max_batch));
+        std::size_t hooks = 0;
+        const RuntimeResult rt =
+            runner.run(frames, [&](const FrameTask &) {
+                ++hooks;
+                runner.requestStop();
+            });
+        EXPECT_EQ(hooks, 1u) << "maxBatch " << max_batch;
+        EXPECT_EQ(rt.report.framesIn, frames.size());
+        EXPECT_EQ(rt.report.framesProcessed, 1u);
+        EXPECT_EQ(rt.report.framesAbandoned, frames.size() - 1);
+        ASSERT_EQ(rt.frames.size(), 1u);
+        EXPECT_EQ(rt.frames[0].index, 0u);
+    }
+}
+
+TEST(StreamRunner, StopWhileIdleIsNoOp)
+{
+    // A stop against an idle runner belongs to no run: the next
+    // run() clears it and processes everything.
+    const std::vector<Frame> frames = smallKittiStream(3);
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    StreamRunner runner(system.preprocessor(), system.backend(),
+                        runnerConfig(system));
+    runner.requestStop();
+    const RuntimeResult rt = runner.run(frames);
+    EXPECT_EQ(rt.report.framesProcessed, frames.size());
+    EXPECT_EQ(rt.report.framesAbandoned, 0u);
+}
+
 TEST(StreamRunner, RunAfterStopProcessesFullStream)
 {
-    // Regression: the runner inherits the StagePipeline restart
-    // contract — a run aborted by requestStop() must not poison
+    // Regression: a run aborted by requestStop() must not poison
     // the next run().
     const std::vector<Frame> frames = smallKittiStream(4);
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, tinyClassifier());
-    StreamRunner::Config rc;
-    rc.inputPoints = system.config().inputPoints;
-    StreamRunner runner(system.preprocessor(), system.inferencer(),
-                        system.model(), rc);
+    StreamRunner runner(system.preprocessor(), system.backend(),
+                        runnerConfig(system));
 
     const RuntimeResult first =
         runner.run(frames, [&](const FrameTask &) {
             runner.requestStop();
         });
-    EXPECT_LE(first.report.framesProcessed, frames.size());
+    EXPECT_EQ(first.report.framesProcessed, 1u);
 
     const RuntimeResult second = runner.run(frames);
     EXPECT_EQ(second.report.framesProcessed, frames.size());
