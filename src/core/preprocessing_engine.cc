@@ -9,6 +9,11 @@ namespace hgpcn
 static_assert(TemporalPreprocessState::kDefaultKey == -1,
               "buildStage's default carry_key must be the unkeyed slot");
 
+PreprocessingEngine::PreprocessingEngine(const Config &config)
+    : cfg(config), pool(std::make_shared<BundlePool>())
+{
+}
+
 PreprocessResult
 PreprocessingEngine::process(const PointCloud &raw, std::size_t k) const
 {
@@ -31,8 +36,9 @@ PreprocessingEngine::buildStage(const PointCloud &raw,
     // Octree-build Unit (CPU): build + host-memory pre-configuration
     // in one pass. With a carry, the build is incremental against
     // the previous frame and the tree lives in the carry's pooled
-    // bundle; either way the tree (and every downstream output) is
-    // bit-identical.
+    // bundle; without one, the tree is rebuilt in place in a bundle
+    // of this engine's pool. Either way the tree (and every
+    // downstream output) is bit-identical to Octree::build.
     if (carry != nullptr) {
         HGPCN_ASSERT(
             carry->config().octree.maxDepth == cfg.octree.maxDepth &&
@@ -54,8 +60,11 @@ PreprocessingEngine::buildStage(const PointCloud &raw,
             result.rawOccLevel = bundle->rawOccLevel;
         }
     } else {
-        result.tree =
-            std::make_shared<Octree>(Octree::build(raw, cfg.octree));
+        // Lease under the pool mutex, build outside it: concurrent
+        // callers rebuild their own bundles in parallel.
+        std::shared_ptr<PreprocessBundle> bundle = leaseBundle(pool);
+        bundle->tree.rebuild(raw, cfg.octree);
+        result.tree = std::shared_ptr<Octree>(bundle, &bundle->tree);
     }
     Octree &tree = *result.tree;
 

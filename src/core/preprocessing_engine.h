@@ -32,15 +32,18 @@
 namespace hgpcn
 {
 
+struct BundlePool;
 class TemporalPreprocessState;
 
 /** Result of pre-processing one frame. */
 struct PreprocessResult
 {
-    /** The octree over the raw frame (owned; the Inference Engine
-     * may reuse it for VEG per Section VIII). When the frame came
-     * through a TemporalPreprocessState carry, this aliases the
-     * pooled bundle — same API, pooled storage. */
+    /** The octree over the raw frame (the Inference Engine may
+     * reuse it for VEG per Section VIII). It aliases a pooled
+     * PreprocessBundle — the carry's when the frame came through a
+     * TemporalPreprocessState, else the engine's — whose storage
+     * returns to its pool when the last holder lets go; holding the
+     * result keeps the tree intact across later builds. */
     std::shared_ptr<Octree> tree;
 
     /** Cached raw-cloud KNN buckets over tree->reorderedCloud()
@@ -100,7 +103,7 @@ class PreprocessingEngine
     /** Create with default configuration. */
     PreprocessingEngine() : PreprocessingEngine(Config{}) {}
 
-    explicit PreprocessingEngine(const Config &config) : cfg(config) {}
+    explicit PreprocessingEngine(const Config &config);
 
     /**
      * Pre-process a raw frame: build the octree (CPU), transfer the
@@ -116,7 +119,10 @@ class PreprocessingEngine
     /**
      * Octree-build Unit half (CPU): build the octree over @p raw,
      * size the Octree-Table and cost the build. The returned result
-     * has no sampled points yet — pass it to sampleStage().
+     * has no sampled points yet — pass it to sampleStage(). Without
+     * a carry the octree is rebuilt in place in a bundle leased from
+     * this engine's pool (thread-safe; concurrent callers lease
+     * distinct bundles).
      *
      * @param carry Optional cross-frame cache
      *   (core/temporal_preprocess.h): the octree and raw-cloud
@@ -146,6 +152,11 @@ class PreprocessingEngine
 
   private:
     Config cfg;
+    /** Bundles of the carry-free build: after the first frames every
+     * build rebuilds a warmed tree in place instead of allocating and
+     * zero-filling a fresh one. Shared by copies of the engine;
+     * leases keep it alive past the engine. */
+    std::shared_ptr<BundlePool> pool;
 };
 
 } // namespace hgpcn

@@ -99,14 +99,8 @@ recordTrace(std::uint64_t frame_no, std::int64_t shard,
 
 } // namespace
 
-TemporalPreprocessState::TemporalPreprocessState(const Config &config)
-    : cfg(config), pool(std::make_shared<BundlePool>())
-{
-}
-
 std::shared_ptr<PreprocessBundle>
-TemporalPreprocessState::leaseBundle(
-    const std::shared_ptr<BundlePool> &pool)
+leaseBundle(const std::shared_ptr<BundlePool> &pool)
 {
     PreprocessBundle *bundle = nullptr;
     {
@@ -126,12 +120,18 @@ TemporalPreprocessState::leaseBundle(
         }
     }
     // The deleter holds the pool alive, so bundles may outlive the
-    // state that leased them (results escaping a stream run).
+    // state or engine that leased them (results escaping a stream
+    // run or a system).
     return std::shared_ptr<PreprocessBundle>(
         bundle, [pool](PreprocessBundle *b) {
             std::lock_guard<std::mutex> lock(pool->mu);
             pool->free_list.push_back(b);
         });
+}
+
+TemporalPreprocessState::TemporalPreprocessState(const Config &config)
+    : cfg(config), pool(std::make_shared<BundlePool>())
+{
 }
 
 std::shared_ptr<PreprocessBundle> &

@@ -32,10 +32,12 @@
  * sensors a state has seen, not with stream length.
  *
  * Storage is pooled: frames lease a PreprocessBundle (octree +
- * indices) whose backing vectors are reused once every in-flight
- * frame has a warmed bundle, keeping the steady state free of
- * arena-backing allocation (growth counted via
- * FrameWorkspace::noteGrowth, pinned by tests/test_runtime.cc).
+ * indices) from a BundlePool, whose backing vectors are reused once
+ * every in-flight frame has a warmed bundle, keeping the steady
+ * state free of arena-backing allocation (growth counted via
+ * FrameWorkspace::noteGrowth, pinned by tests/test_runtime.cc). The
+ * carry-free PreprocessingEngine::buildStage leases from a pool of
+ * its own, so every octree build in the library is pooled.
  * Thread safety: processFrame() serializes under a mutex; frames
  * arriving out of order (or under the wrong key) only lower the hit
  * rate, never change outputs.
@@ -72,6 +74,30 @@ struct PreprocessBundle
     std::vector<OccupiedCell> rawOcc; //!< occupancy at rawOccLevel
     int rawOccLevel = -1;      //!< -1 = not built
 };
+
+/**
+ * Thread-safe pool of PreprocessBundles. A pool only grows: a
+ * released bundle keeps its warmed storage for the next lease.
+ */
+struct BundlePool
+{
+    std::mutex mu; //!< guards owned and free_list only
+    std::vector<std::unique_ptr<PreprocessBundle>> owned;
+    std::vector<PreprocessBundle *> free_list; //!< FIFO of released
+};
+
+/**
+ * Lease a bundle from @p pool: the oldest released one, or a new
+ * one (counted as FrameWorkspace growth) when none is free. Only
+ * the free-list update runs under the pool mutex, so concurrent
+ * lessees build into their bundles in parallel. The bundle returns
+ * to the pool when its last shared_ptr is released; the lease holds
+ * the pool alive, so bundles may outlive whoever owns the pool.
+ * Bundle contents are whatever its last lessee left: rebuild every
+ * field you read.
+ */
+std::shared_ptr<PreprocessBundle>
+leaseBundle(const std::shared_ptr<BundlePool> &pool);
 
 /** Per-stream carried preprocessing state; see file comment. */
 class TemporalPreprocessState
@@ -152,18 +178,6 @@ class TemporalPreprocessState
     const Config &config() const { return cfg; }
 
   private:
-    /** Thread-safe bundle pool; may outlive the state (leases hold
-     * a shared_ptr to it). */
-    struct BundlePool
-    {
-        std::mutex mu;
-        std::vector<std::unique_ptr<PreprocessBundle>> owned;
-        std::vector<PreprocessBundle *> free_list;
-    };
-
-    static std::shared_ptr<PreprocessBundle>
-    leaseBundle(const std::shared_ptr<BundlePool> &pool);
-
     /** One key's carried frame. */
     struct Slot
     {

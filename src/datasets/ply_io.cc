@@ -1,10 +1,9 @@
 #include "datasets/ply_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <vector>
-
-#include "common/logging.h"
 
 namespace hgpcn
 {
@@ -37,20 +36,36 @@ write(const std::string &path, const Frame &frame)
     return static_cast<bool>(out);
 }
 
-Frame
-read(const std::string &path)
+namespace
 {
-    std::ifstream in(path);
+
+/** Record @p what about @p path in @p error (when given). */
+std::optional<Frame>
+refuse(std::string *error, const std::string &what,
+       const std::string &path)
+{
+    if (error != nullptr)
+        *error = what + ": " + path;
+    return std::nullopt;
+}
+
+} // namespace
+
+std::optional<Frame>
+read(const std::string &path, std::string *error)
+{
+    std::ifstream in(path, std::ios::binary);
     if (!in)
-        fatal("cannot open PLY file: ", path);
+        return refuse(error, "cannot open PLY file", path);
 
     std::string line;
     std::getline(in, line);
     if (line != "ply")
-        fatal("not a PLY file: ", path);
+        return refuse(error, "not a PLY file", path);
 
     std::size_t vertex_count = 0;
     bool in_vertex_element = false;
+    bool header_ended = false;
     std::vector<std::string> properties;
     while (std::getline(in, line)) {
         std::istringstream iss(line);
@@ -62,26 +77,34 @@ read(const std::string &path)
             std::string fmt;
             iss >> fmt;
             if (fmt != "ascii")
-                fatal("only ascii PLY is supported: ", path);
+                return refuse(error, "only ascii PLY is supported",
+                              path);
         } else if (keyword == "element") {
             std::string what;
-            iss >> what >> vertex_count;
+            std::size_t count = 0;
+            iss >> what >> count;
             in_vertex_element = what == "vertex";
-            if (!in_vertex_element && vertex_count > 0 &&
-                properties.empty()) {
-                fatal("PLY vertex element missing: ", path);
+            if (in_vertex_element) {
+                vertex_count = count;
+            } else if (count > 0 && properties.empty()) {
+                return refuse(error, "PLY vertex element missing",
+                              path);
             }
         } else if (keyword == "property" && in_vertex_element) {
             std::string type, name;
             iss >> type >> name;
             properties.push_back(name);
         } else if (keyword == "end_header") {
+            header_ended = true;
             break;
         }
     }
+    if (!header_ended)
+        return refuse(error, "PLY header has no end_header", path);
     if (properties.size() < 3 || properties[0] != "x" ||
         properties[1] != "y" || properties[2] != "z") {
-        fatal("PLY vertex must start with x/y/z floats: ", path);
+        return refuse(error, "PLY vertex must start with x/y/z floats",
+                      path);
     }
     int label_column = -1;
     for (std::size_t c = 3; c < properties.size(); ++c) {
@@ -89,16 +112,37 @@ read(const std::string &path)
             label_column = static_cast<int>(c);
     }
 
+    // The header's count is untrusted: reserve no more vertices than
+    // the rest of the file can hold (each value takes at least one
+    // character and one separator).
+    std::size_t fits = 0; // stays 0 when the header ends the file
+    const std::streamoff body_begin = in.tellg();
+    if (body_begin >= 0) {
+        in.seekg(0, std::ios::end);
+        fits = static_cast<std::size_t>(in.tellg() - body_begin) /
+               (2 * properties.size());
+        in.seekg(body_begin);
+    }
+
     Frame frame;
     frame.name = path;
-    frame.cloud.reserve(vertex_count);
+    frame.cloud.reserve(std::min(vertex_count, fits));
+    std::vector<double> values(properties.size());
     for (std::size_t i = 0; i < vertex_count; ++i) {
-        if (!std::getline(in, line))
-            fatal("PLY truncated at vertex ", i, ": ", path);
+        if (!std::getline(in, line)) {
+            return refuse(error,
+                          "PLY truncated at vertex " + std::to_string(i),
+                          path);
+        }
         std::istringstream iss(line);
-        std::vector<double> values(properties.size(), 0.0);
         for (auto &v : values)
             iss >> v;
+        if (!iss) {
+            return refuse(error,
+                          "PLY vertex " + std::to_string(i) +
+                              " is malformed",
+                          path);
+        }
         frame.cloud.add({static_cast<float>(values[0]),
                          static_cast<float>(values[1]),
                          static_cast<float>(values[2])});

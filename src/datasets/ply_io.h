@@ -12,6 +12,7 @@
 #ifndef HGPCN_DATASETS_PLY_IO_H
 #define HGPCN_DATASETS_PLY_IO_H
 
+#include <optional>
 #include <string>
 
 #include "datasets/frame.h"
@@ -31,10 +32,16 @@ bool write(const std::string &path, const Frame &frame);
 /**
  * Read an ASCII PLY containing at least float x/y/z vertex
  * properties; an int/uchar "label" property is loaded when present.
- * Calls fatal() on malformed headers.
- * @return the loaded frame (name = file path).
+ * A file that cannot be opened, is not ASCII PLY, lacks leading
+ * x/y/z properties, or has a short or malformed vertex list is
+ * refused, never fatal.
+ * @param error When non-null, receives why a file was refused
+ *   (naming the file); untouched on success.
+ * @return the loaded frame (name = file path), or nullopt when the
+ *   file was refused.
  */
-Frame read(const std::string &path);
+std::optional<Frame> read(const std::string &path,
+                          std::string *error = nullptr);
 
 } // namespace ply
 } // namespace hgpcn

@@ -162,7 +162,7 @@ Octree::rebuild(const PointCloud &cloud, const Config &config)
 
     // Count re-growth of warmed storage only: a fresh tree's first
     // backing is creation, accounted where the tree is pooled
-    // (TemporalPreprocessState::leaseBundle), not here — transient
+    // (leaseBundle, core/temporal_preprocess.h), not here — transient
     // per-frame trees (backends, tests) stay invisible to the
     // steady-state zero-alloc pin.
     if (cap_before > 0 && backingCapacity() > cap_before)

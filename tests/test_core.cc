@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "common/rng.h"
 #include "core/hgpcn_system.h"
 #include "core/inference_engine.h"
+#include "core/frame_workspace.h"
 #include "core/preprocessing_engine.h"
 #include "datasets/kitti_like.h"
 #include "datasets/modelnet_like.h"
@@ -30,6 +34,34 @@ randomCloud(std::size_t n, std::uint64_t seed)
                    rng.uniform(0.0f, 1.0f)});
     }
     return cloud;
+}
+
+/** Bitwise equality of two octrees: every node, the SFC codes, the
+ * permutation and the reordered cloud. */
+void
+expectSameOctree(const Octree &got, const Octree &want)
+{
+    ASSERT_EQ(got.nodes().size(), want.nodes().size());
+    for (std::size_t i = 0; i < want.nodes().size(); ++i) {
+        const OctreeNode &g = got.nodes()[i];
+        const OctreeNode &w = want.nodes()[i];
+        ASSERT_TRUE(g.code == w.code && g.level == w.level &&
+                    g.childMask == w.childMask &&
+                    g.firstChild == w.firstChild &&
+                    g.parent == w.parent &&
+                    g.pointBegin == w.pointBegin &&
+                    g.pointEnd == w.pointEnd)
+            << "node " << i;
+    }
+    EXPECT_TRUE(got.pointCodes() == want.pointCodes());
+    EXPECT_TRUE(got.permutation() == want.permutation());
+    const std::vector<Vec3> &gp = got.reorderedCloud().positions();
+    const std::vector<Vec3> &wp = want.reorderedCloud().positions();
+    ASSERT_EQ(gp.size(), wp.size());
+    EXPECT_EQ(std::memcmp(gp.data(), wp.data(), gp.size() * sizeof(Vec3)),
+              0);
+    EXPECT_EQ(got.buildStats().get("octree.nodes"),
+              want.buildStats().get("octree.nodes"));
 }
 
 PointNet2Spec
@@ -102,6 +134,43 @@ TEST(PreprocessingEngine, Deterministic)
     const auto a = engine.process(raw, 256);
     const auto b = engine.process(raw, 256);
     EXPECT_EQ(a.spt, b.spt);
+}
+
+TEST(PreprocessingEngine, PooledBuildMatchesFreshBuildAcrossSizes)
+{
+    // The carry-free build rebuilds one pooled tree in place; a
+    // shrinking then regrowing frame must still come out bitwise
+    // equal to a fresh Octree::build of each frame.
+    const PreprocessingEngine engine;
+    const Octree *pooled = nullptr;
+    std::uint64_t seed = 20;
+    for (const std::size_t n : {500000u, 20000u, 500000u}) {
+        const PointCloud raw = randomCloud(n, seed++);
+        const PreprocessResult result = engine.buildStage(raw);
+        // Each result is released before the next build, so every
+        // build reuses the one warmed bundle.
+        if (pooled != nullptr) {
+            EXPECT_EQ(result.tree.get(), pooled) << n;
+        }
+        pooled = result.tree.get();
+        expectSameOctree(*result.tree,
+                         Octree::build(raw, engine.config().octree));
+    }
+}
+
+TEST(PreprocessingEngine, HeldResultSurvivesNextBuild)
+{
+    const PreprocessingEngine engine;
+    const PointCloud first = randomCloud(30000, 30);
+    const PointCloud second = randomCloud(12000, 31);
+    const PreprocessResult held = engine.process(first, 512);
+    const PreprocessResult next = engine.process(second, 512);
+    EXPECT_NE(held.tree.get(), next.tree.get());
+    held.tree->validate();
+    expectSameOctree(*held.tree,
+                     Octree::build(first, engine.config().octree));
+    expectSameOctree(*next.tree,
+                     Octree::build(second, engine.config().octree));
 }
 
 // --------------------------------------------------- InferenceEngine
@@ -280,6 +349,74 @@ TEST(HgPcnSystem, LargerFramesCostMorePreprocessing)
     const auto large = system.processFrame(randomCloud(50000, 13));
     EXPECT_GT(large.preprocess.totalSec(),
               small.preprocess.totalSec());
+}
+
+TEST(HgPcnSystem, ResultOutlivesSystem)
+{
+    const PointCloud raw = randomCloud(10000, 40);
+    E2eResult result;
+    {
+        HgPcnSystem::Config cfg;
+        const HgPcnSystem system(cfg, tinyClassifier());
+        result = system.processFrame(raw);
+    }
+    // The tree aliases a bundle of the destroyed engine's pool; the
+    // lease keeps both alive.
+    ASSERT_NE(result.preprocess.tree, nullptr);
+    result.preprocess.tree->validate();
+    const Octree::Config octree_cfg = PreprocessingEngine::Config{}.octree;
+    expectSameOctree(*result.preprocess.tree,
+                     Octree::build(raw, octree_cfg));
+}
+
+TEST(HgPcnSystem, ConcurrentCallersMatchSerialResults)
+{
+    // Concurrent callers lease distinct bundles from the engine's
+    // pool and build in parallel; each result must equal the serial
+    // one, and releases from other threads must not corrupt it.
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    std::vector<PointCloud> frames;
+    for (std::uint64_t i = 0; i < 3; ++i)
+        frames.push_back(randomCloud(6000 + 2000 * i, 60 + i));
+    std::vector<E2eResult> serial;
+    for (const PointCloud &f : frames)
+        serial.push_back(system.processFrame(f));
+
+    std::vector<E2eResult> concurrent(frames.size());
+    std::vector<std::thread> callers;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        callers.emplace_back([&, i] {
+            for (int round = 0; round < 2; ++round)
+                concurrent[i] = system.processFrame(frames[i]);
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        EXPECT_EQ(concurrent[i].preprocess.spt, serial[i].preprocess.spt);
+        EXPECT_EQ(concurrent[i].inference.output.labels,
+                  serial[i].inference.output.labels);
+        EXPECT_EQ(concurrent[i].totalSec(), serial[i].totalSec());
+        expectSameOctree(*concurrent[i].preprocess.tree,
+                         *serial[i].preprocess.tree);
+    }
+}
+
+TEST(HgPcnSystem, SerialProcessFrameStopsGrowingAfterWarmup)
+{
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    const std::vector<PointCloud> frames = {randomCloud(20000, 50),
+                                            randomCloud(8000, 51)};
+    for (const PointCloud &f : frames) // warm-up: sizes every pool
+        system.processFrame(f);
+    const std::uint64_t warmed = FrameWorkspace::backingGrowths();
+    for (int round = 0; round < 3; ++round) {
+        for (const PointCloud &f : frames)
+            system.processFrame(f);
+    }
+    EXPECT_EQ(FrameWorkspace::backingGrowths(), warmed);
 }
 
 } // namespace

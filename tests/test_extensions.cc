@@ -10,6 +10,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <optional>
+#include <string>
 
 #include "common/rng.h"
 #include "core/hgpcn_system.h"
@@ -136,7 +139,9 @@ TEST(PlyIo, RoundTripsPointsAndLabels)
     }
     const std::string path = "/tmp/hgpcn_test_roundtrip.ply";
     ASSERT_TRUE(ply::write(path, frame));
-    const Frame loaded = ply::read(path);
+    const std::optional<Frame> read = ply::read(path);
+    ASSERT_TRUE(read.has_value());
+    const Frame &loaded = *read;
     ASSERT_EQ(loaded.cloud.size(), frame.cloud.size());
     ASSERT_EQ(loaded.labels.size(), frame.labels.size());
     for (std::size_t i = 0; i < frame.cloud.size(); ++i) {
@@ -158,9 +163,10 @@ TEST(PlyIo, UnlabelledCloudOmitsLabelProperty)
     frame.cloud.add({1, 2, 3});
     const std::string path = "/tmp/hgpcn_test_nolabel.ply";
     ASSERT_TRUE(ply::write(path, frame));
-    const Frame loaded = ply::read(path);
-    EXPECT_EQ(loaded.cloud.size(), 1u);
-    EXPECT_TRUE(loaded.labels.empty());
+    const std::optional<Frame> loaded = ply::read(path);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->cloud.size(), 1u);
+    EXPECT_TRUE(loaded->labels.empty());
     std::remove(path.c_str());
 }
 
@@ -169,6 +175,100 @@ TEST(PlyIo, WriteFailsOnBadPath)
     Frame frame;
     frame.cloud.add({0, 0, 0});
     EXPECT_FALSE(ply::write("/nonexistent-dir/x.ply", frame));
+}
+
+/** Write @p text to a fresh file under the test temp dir. */
+std::string
+writeTempFile(const std::string &name, const std::string &text)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::ofstream(path, std::ios::binary) << text;
+    return path;
+}
+
+/** @return why ply::read refused @p path ("" if it did not). */
+std::string
+plyRefusal(const std::string &path)
+{
+    std::string error;
+    const std::optional<Frame> frame = ply::read(path, &error);
+    EXPECT_FALSE(frame.has_value()) << path;
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+    return error;
+}
+
+TEST(PlyIo, MalformedFilesAreRefusedNotFatal)
+{
+    const std::string header = "ply\nformat ascii 1.0\n"
+                               "element vertex 3\n"
+                               "property float x\nproperty float y\n"
+                               "property float z\nend_header\n";
+    EXPECT_NE(plyRefusal(::testing::TempDir() + "hgpcn_missing.ply")
+                  .find("cannot open"),
+              std::string::npos);
+
+    const std::string not_ply =
+        writeTempFile("hgpcn_not_ply.ply", "OFF\n3 1 0\n");
+    EXPECT_NE(plyRefusal(not_ply).find("not a PLY"), std::string::npos);
+
+    const std::string binary = writeTempFile(
+        "hgpcn_binary.ply",
+        "ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "end_header\n0123456789ab");
+    EXPECT_NE(plyRefusal(binary).find("ascii"), std::string::npos);
+
+    const std::string no_xyz = writeTempFile(
+        "hgpcn_no_xyz.ply",
+        "ply\nformat ascii 1.0\nelement vertex 1\n"
+        "property float u\nproperty float v\nproperty float w\n"
+        "end_header\n1 2 3\n");
+    EXPECT_NE(plyRefusal(no_xyz).find("x/y/z"), std::string::npos);
+
+    const std::string truncated =
+        writeTempFile("hgpcn_truncated.ply", header + "1 2 3\n4 5 6\n");
+    EXPECT_NE(plyRefusal(truncated).find("truncated at vertex 2"),
+              std::string::npos);
+
+    const std::string short_row = writeTempFile(
+        "hgpcn_short_row.ply", header + "1 2 3\n4 5\n7 8 9\n");
+    EXPECT_NE(plyRefusal(short_row).find("vertex 1 is malformed"),
+              std::string::npos);
+
+    for (const std::string &path :
+         {not_ply, binary, no_xyz, truncated, short_row})
+        std::remove(path.c_str());
+}
+
+TEST(PlyIo, ElementsAfterTheVerticesAreIgnored)
+{
+    // A face list after the vertices must not replace the vertex
+    // count.
+    const std::string path = writeTempFile(
+        "hgpcn_with_faces.ply",
+        "ply\nformat ascii 1.0\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "element face 1\nproperty list uchar int vertex_indices\n"
+        "end_header\n1 2 3\n4 5 6\n7 8 9\n3 0 1 2\n");
+    const std::optional<Frame> loaded = ply::read(path);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->cloud.size(), 3u);
+    EXPECT_EQ(loaded->cloud.position(2), (Vec3{7, 8, 9}));
+    std::remove(path.c_str());
+}
+
+TEST(PlyIo, HugeVertexCountIsNotTrusted)
+{
+    // A header promising 2^60 vertices over a 3-vertex body is
+    // refused as truncated instead of reserving the promised count.
+    const std::string path = writeTempFile(
+        "hgpcn_huge_count.ply",
+        "ply\nformat ascii 1.0\nelement vertex 1152921504606846976\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "end_header\n1 2 3\n4 5 6\n7 8 9\n");
+    EXPECT_NE(plyRefusal(path).find("truncated at vertex 3"),
+              std::string::npos);
+    std::remove(path.c_str());
 }
 
 // ----------------------------------------------------- trace report

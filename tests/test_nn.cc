@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "nn/mlp.h"
 #include "nn/pointnet2.h"
 #include "core/frame_workspace.h"
+#include "nn/gemm_kernels.h"
 #include "nn/tensor.h"
 
 namespace hgpcn
@@ -493,6 +496,83 @@ TEST(Tensor, MatmulIntoMatchesMatmulBitForBit)
                 Tensor::matmulInto(a, b, got);
                 ASSERT_EQ(got.data(), expect.data())
                     << m << "x" << k << "x" << n;
+            }
+        }
+    }
+}
+
+/** Naive triple loop: every product and partial sum forced through
+ * memory as a float, so neither the compiler nor the host can fuse,
+ * widen or reassociate them — the oracle every GEMM kernel must
+ * match bit for bit. */
+std::vector<float>
+naiveMatmul(const Tensor &a, const Tensor &b)
+{
+    std::vector<float> out(a.rows() * b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            volatile float acc = 0.0f;
+            for (std::size_t k = 0; k < a.cols(); ++k) {
+                volatile float prod = a.at(i, k) * b.at(k, j);
+                acc = acc + prod;
+            }
+            out[i * b.cols() + j] = acc;
+        }
+    }
+    return out;
+}
+
+/** @return true when @p x and @p y hold the same bit patterns. */
+bool
+sameBits(const std::vector<float> &x, const std::vector<float> &y)
+{
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) ==
+                0);
+}
+
+TEST(Tensor, EveryGemmKernelMatchesNaiveLoopBitForBit)
+{
+    // Every shape class of the kernels: 4-row blocks and the 1-row
+    // remainder (m), empty and odd reductions (k), and full 64-column
+    // tiles, single vectors and masked tails for both vector widths
+    // (n).
+    const std::vector<gemm::Instantiation> kernels = gemm::supported();
+    ASSERT_STREQ(kernels.front().isa, "scalar");
+    EXPECT_STREQ(gemm::selected().isa, kernels.back().isa);
+    Rng rng(11);
+    for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 7u, 33u, 130u}) {
+        for (const std::size_t k : {0u, 1u, 3u, 131u, 259u}) {
+            for (const std::size_t n :
+                 {1u, 5u, 16u, 17u, 40u, 64u, 65u, 200u, 1024u}) {
+                Tensor a(m, k), b(k, n);
+                a.randomize(rng, 1.0f);
+                b.randomize(rng, 1.0f);
+                const std::vector<float> expect = naiveMatmul(a, b);
+                const std::string shape = std::to_string(m) + "x" +
+                                          std::to_string(k) + "x" +
+                                          std::to_string(n);
+
+                // The selected kernel, through both entry points:
+                // whole (matmul) and split in two row ranges.
+                ASSERT_TRUE(sameBits(Tensor::matmul(a, b).data(), expect))
+                    << "matmul " << shape;
+                Tensor split(m, n);
+                const std::size_t cut = m / 2 + 1;
+                Tensor::matmulRowsInto(a, b, split, 0, cut);
+                Tensor::matmulRowsInto(a, b, split, cut, m);
+                ASSERT_TRUE(sameBits(split.data(), expect))
+                    << "split " << shape;
+
+                // Every instantiation this host can run, on its own.
+                for (const gemm::Instantiation &kernel : kernels) {
+                    std::vector<float> got(m * n, -1.0f);
+                    kernel.kernel(a.data().data(), b.data().data(),
+                                  got.data(), m, k, n);
+                    ASSERT_TRUE(sameBits(got, expect))
+                        << kernel.isa << " " << shape;
+                }
             }
         }
     }
