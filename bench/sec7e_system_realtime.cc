@@ -66,11 +66,13 @@ run()
 
     // Extension: with the CPU building frame i+1's octree while the
     // FPGA processes frame i, throughput rises further.
-    const StreamReport report = system.processStream(frames);
+    // The single-worker batch schedule is that two-stage overlap.
+    const RuntimeResult pipelined = system.runStream(
+        frames, StreamRunner::compat(frames.size(), 0));
+    const double pipelined_fps = pipelined.report.sustainedFps;
     std::printf("pipelined (CPU/FPGA overlap): %.1f FPS = %.2fx "
                 "sensor rate (offline estimate)\n",
-                report.pipelinedFps,
-                report.pipelinedFps / gen_fps);
+                pipelined_fps, pipelined_fps / gen_fps);
 
     // The same stream on the concurrent runtime, sensor-paced: the
     // Section VII-E verdict proper, frames admitted at their 10 Hz

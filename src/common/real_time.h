@@ -1,8 +1,8 @@
 /**
  * @file
  * The Section VII-E real-time verdict, shared by every report that
- * states it (core/StreamReport, runtime/RuntimeReport,
- * serving/ServingReport).
+ * states it (runtime/RuntimeReport, serving/ServingReport and its
+ * per-sensor and per-backend slices).
  *
  * The criterion is "sustained processing rate >= sensor generation
  * rate". A run with no derivable generation rate — batch admission,

@@ -94,4 +94,21 @@ percentileNearestRank(const std::vector<double> &sorted, double q)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+LatencySummary
+summarizeLatencies(std::vector<double> samples)
+{
+    LatencySummary out;
+    if (samples.empty())
+        return out;
+    for (const double l : samples)
+        out.mean += l;
+    out.mean /= static_cast<double>(samples.size());
+    std::sort(samples.begin(), samples.end());
+    out.p50 = percentileNearestRank(samples, 0.50);
+    out.p95 = percentileNearestRank(samples, 0.95);
+    out.p99 = percentileNearestRank(samples, 0.99);
+    out.max = samples.back();
+    return out;
+}
+
 } // namespace hgpcn

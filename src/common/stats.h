@@ -103,6 +103,23 @@ class ConcurrentStatSet
 double percentileNearestRank(const std::vector<double> &sorted,
                              double q);
 
+/** Mean, nearest-rank percentiles and max of a latency sample. */
+struct LatencySummary
+{
+    double mean = 0;
+    double p50 = 0;
+    double p95 = 0;
+    double p99 = 0;
+    double max = 0;
+};
+
+/**
+ * Summarize @p samples (any order); all zero for an empty sample.
+ * The one latency block of every runtime and serving report. The
+ * mean sums in the given order, so callers pass completion order.
+ */
+LatencySummary summarizeLatencies(std::vector<double> samples);
+
 } // namespace hgpcn
 
 #endif // HGPCN_COMMON_STATS_H

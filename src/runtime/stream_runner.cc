@@ -434,25 +434,41 @@ StreamRunner::run(const std::vector<Frame> &frames,
     const TimelineResult timeline =
         simulateTimeline(tl, arrivals, costs, batch_cost);
 
-    // Fault tallies over the scheduled frames: a terminally failed
-    // frame occupied the device (the schedule charged it) but
-    // delivers nothing, so it moves from "processed" to "failed" —
-    // conservation: in == processed + dropped + abandoned + failed.
+    // The ledger: one row per input frame. Frames after a stop were
+    // never scheduled (abandoned); a terminally failed frame held
+    // the device (the schedule charged it) but delivers nothing.
+    out.ledger.resize(frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        FrameRecord &row = out.ledger[i];
+        row.index = i;
+        row.outcome = FrameOutcome::Abandoned;
+        if (trace_ids != nullptr)
+            row.sensor =
+                static_cast<std::size_t>(trace_ids->sensor[i]);
+    }
+    for (std::size_t j = 0; j < completed.size(); ++j) {
+        const TimelineFrame &tf = timeline.frames[j];
+        const FrameFaultDirective &d = completed[j]->fault;
+        FrameRecord &row = out.ledger[completed[j]->index];
+        if (tf.dropped) {
+            row.outcome = FrameOutcome::Dropped;
+            continue;
+        }
+        row.outcome =
+            d.failed ? FrameOutcome::Failed : FrameOutcome::Processed;
+        row.attempts = d.attempts;
+        row.degraded = d.degraded;
+        row.doneSec = tf.doneSec;
+        row.latencySec = tf.latencySec;
+    }
     std::size_t n_failed = 0;
-    if (faults != nullptr) {
-        for (std::size_t j = 0; j < completed.size(); ++j) {
-            if (timeline.frames[j].dropped)
-                continue;
-            const FrameFaultDirective &d = completed[j]->fault;
-            if (d.failed) {
-                ++n_failed;
-                out.failedFrames.push_back(completed[j]->index);
-                continue;
-            }
-            if (d.attempts > 1)
-                out.retriedFrames.push_back(completed[j]->index);
-            if (d.degraded)
-                out.degradedFrames.push_back(completed[j]->index);
+    std::size_t n_retried = 0;
+    std::size_t n_degraded = 0;
+    for (const FrameRecord &row : out.ledger) {
+        n_failed += row.outcome == FrameOutcome::Failed;
+        if (row.outcome == FrameOutcome::Processed) {
+            n_retried += row.attempts > 1;
+            n_degraded += row.degraded;
         }
     }
 
@@ -470,10 +486,8 @@ StreamRunner::run(const std::vector<Frame> &frames,
         // Registered only on faulted runs: the zero-fault metrics
         // snapshot stays byte-identical to a pre-fault build.
         metricsReg.counter("frames.failed").add(n_failed);
-        metricsReg.counter("frames.retried")
-            .add(out.retriedFrames.size());
-        metricsReg.counter("frames.degraded")
-            .add(out.degradedFrames.size());
+        metricsReg.counter("frames.retried").add(n_retried);
+        metricsReg.counter("frames.degraded").add(n_degraded);
     }
     metricsReg.gauge("timeline.makespan_sec")
         .add(timeline.makespanSec);
@@ -575,33 +589,24 @@ StreamRunner::run(const std::vector<Frame> &frames,
 
     std::vector<double> latencies;
     latencies.reserve(timeline.processed);
-    for (std::size_t j = 0; j < completed.size(); ++j) {
-        const TimelineFrame &tf = timeline.frames[j];
-        if (tf.dropped)
-            continue;
-        // A terminally failed frame delivers no output: counted in
-        // framesFailed above, absent from completions and latency.
-        if (completed[j]->fault.failed)
+    for (FrameTask *task : completed) {
+        const FrameRecord &row = out.ledger[task->index];
+        if (row.outcome != FrameOutcome::Processed)
             continue;
         ProcessedFrame pf;
-        pf.index = completed[j]->index;
-        pf.latencySec = tf.latencySec;
-        pf.doneSec = tf.doneSec;
-        pf.result = std::move(completed[j]->result);
-        latencies.push_back(tf.latencySec);
-        rep.maxLatencySec = std::max(rep.maxLatencySec,
-                                     tf.latencySec);
-        rep.meanLatencySec += tf.latencySec;
+        pf.index = row.index;
+        pf.latencySec = row.latencySec;
+        pf.doneSec = row.doneSec;
+        pf.result = std::move(task->result);
+        latencies.push_back(row.latencySec);
         out.frames.push_back(std::move(pf));
     }
-    if (!latencies.empty()) {
-        rep.meanLatencySec /=
-            static_cast<double>(latencies.size());
-        std::sort(latencies.begin(), latencies.end());
-        rep.p50LatencySec = percentileNearestRank(latencies, 0.50);
-        rep.p95LatencySec = percentileNearestRank(latencies, 0.95);
-        rep.p99LatencySec = percentileNearestRank(latencies, 0.99);
-    }
+    const LatencySummary lat = summarizeLatencies(std::move(latencies));
+    rep.meanLatencySec = lat.mean;
+    rep.p50LatencySec = lat.p50;
+    rep.p95LatencySec = lat.p95;
+    rep.p99LatencySec = lat.p99;
+    rep.maxLatencySec = lat.max;
 
     // Temporal-cache attribution, read back from the registry the
     // carry wrote into during the functional run.

@@ -21,9 +21,10 @@
  *
  * The report gives sustained throughput, tail latency, per-stage
  * occupancy/utilization, drops and the Section VII-E real-time
- * verdict. This RuntimeReport supersedes StreamReport's
- * single-number pipelinedFps estimate; HgPcnSystem::processStream
- * remains as a compatibility wrapper over a single-worker runner.
+ * verdict; the ledger gives every offered frame's terminal outcome
+ * (FrameRecord), the rows the serving layer's views group over.
+ * StreamRunner::compat reproduces the historical analytical
+ * two-stage pipelinedFps with a single-worker schedule.
  *
  * Device mapping: a backend on the HgPCN fabric (resource "fpga",
  * i.e. HgpcnBackend) follows the shareFpga semantics — inference
@@ -58,6 +59,38 @@ struct ProcessedFrame
     double latencySec = 0;  //!< admission-to-completion, virtual time
     double doneSec = 0;     //!< completion on the virtual timeline
     E2eResult result;       //!< functional outputs + cycle breakdown
+};
+
+/** How an offered frame left the system; exactly one per frame. */
+enum class FrameOutcome
+{
+    Processed, //!< delivered its outputs
+    Dropped,   //!< overload-policy victim
+    Abandoned, //!< lost to a stop before its hook ran
+    Shed,      //!< refused by admission control (elastic serving)
+    Failed,    //!< retries or deadline exhausted
+};
+
+/**
+ * One ledger row: an offered frame's terminal outcome. A run emits
+ * one row per input frame, in stream order, on its own clock; the
+ * serving merges map rows to global indices and re-anchor them, and
+ * every serving view is a group-by over the rows
+ * (serving/serving_report.h).
+ */
+struct FrameRecord
+{
+    std::size_t index = 0;  //!< stream position (global once merged)
+    std::size_t sensor = 0; //!< sensor id (0 without ids)
+    std::size_t shard = 0;  //!< serving shard; unused for Shed rows
+    FrameOutcome outcome = FrameOutcome::Processed;
+    std::size_t attempts = 1; //!< inference attempts (> 1: retried)
+    bool degraded = false;    //!< ran at a reduced sample budget
+    /** Completion and arrival-to-completion time on the virtual
+     * clock; 0 for frames never scheduled (dropped, abandoned,
+     * shed). */
+    double doneSec = 0;
+    double latencySec = 0;
 };
 
 /** Stream-level performance report (virtual-time, deterministic). */
@@ -132,14 +165,9 @@ struct RuntimeResult
      * counters, stall attribution gauges, temporal-cache telemetry.
      * ServingResult merges these shard-wise. */
     MetricsSnapshot metrics;
-
-    /** Stream-local indices of frames that terminally failed /
-     * completed after retries / completed degraded. Empty without a
-     * fault schedule; the serving layer maps them to global frame
-     * indices for per-sensor and per-backend attribution. */
-    std::vector<std::size_t> failedFrames;
-    std::vector<std::size_t> retriedFrames;
-    std::vector<std::size_t> degradedFrames;
+    /** One row per input frame, in stream order (indices are
+     * stream-local; sensor ids from StreamTraceIds). */
+    std::vector<FrameRecord> ledger;
 };
 
 /**

@@ -12,16 +12,275 @@ namespace hgpcn
 namespace
 {
 
-/** (n-1)/span generation rate over a timestamp subsequence. */
-double
-generationFpsOf(const std::vector<double> &stamps)
+/** Group key of rows no group takes (shed rows in the backend view,
+ * shards with no named backend). */
+constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
+
+/** One group of ledger rows, reduced. */
+struct Group
 {
-    if (stamps.size() < 2)
-        return 0.0;
-    const double span = stamps.back() - stamps.front();
-    if (span <= 0.0)
-        return 0.0;
-    return static_cast<double>(stamps.size() - 1) / span;
+    std::size_t in = 0;
+    std::size_t processed = 0;
+    std::size_t dropped = 0;
+    std::size_t abandoned = 0;
+    std::size_t shed = 0;
+    std::size_t failed = 0;
+    std::size_t retried = 0;  //!< of processed
+    std::size_t degraded = 0; //!< of processed
+    std::set<std::size_t> shards; //!< that completed its frames
+    double firstStamp = std::numeric_limits<double>::infinity();
+    double lastStamp = -std::numeric_limits<double>::infinity();
+    double lastDone = -std::numeric_limits<double>::infinity();
+    std::vector<double> latencies; //!< completion order
+
+    double offeredFps = 0;   //!< (n-1)/span of the offered stamps
+    double spanSec = 0;      //!< first offer -> last completion
+    double sustainedFps = 0; //!< processed / spanSec
+    LatencySummary latency;
+    RealTimeVerdict realTime = RealTimeVerdict::NotApplicable;
+};
+
+/** Completion order: doneSec, ties by stream position. */
+bool
+completesBefore(const FrameRecord &a, const FrameRecord &b)
+{
+    if (a.doneSec != b.doneSec)
+        return a.doneSec < b.doneSec;
+    return a.index < b.index;
+}
+
+/**
+ * The one reduction behind every frame-level view: group @p ledger
+ * by @p key (row -> group in [0, groups), or kNoGroup) and derive
+ * each group's counts, rates, latency summary and verdict. The
+ * first offer is the group's earliest stamp when @p paced, 0 in
+ * batch mode.
+ */
+template <class Key>
+std::vector<Group>
+groupBy(const SensorStream &stream,
+        const std::vector<FrameRecord> &ledger,
+        const std::vector<const FrameRecord *> &completions,
+        bool paced, std::size_t groups, Key key)
+{
+    std::vector<Group> out(groups);
+    for (const FrameRecord &row : ledger) {
+        const std::size_t k = key(row);
+        if (k == kNoGroup)
+            continue;
+        Group &g = out[k];
+        const double stamp = stream.frames[row.index].timestamp;
+        g.in++;
+        g.firstStamp = std::min(g.firstStamp, stamp);
+        g.lastStamp = std::max(g.lastStamp, stamp);
+        switch (row.outcome) {
+        case FrameOutcome::Processed:
+            g.processed++;
+            g.retried += row.attempts > 1;
+            g.degraded += row.degraded;
+            g.shards.insert(row.shard);
+            g.lastDone = std::max(g.lastDone, row.doneSec);
+            break;
+        case FrameOutcome::Dropped:
+            g.dropped++;
+            break;
+        case FrameOutcome::Abandoned:
+            g.abandoned++;
+            break;
+        case FrameOutcome::Shed:
+            g.shed++;
+            break;
+        case FrameOutcome::Failed:
+            g.failed++;
+            break;
+        }
+    }
+    for (const FrameRecord *row : completions) {
+        const std::size_t k = key(*row);
+        if (k != kNoGroup)
+            out[k].latencies.push_back(row->latencySec);
+    }
+    for (Group &g : out) {
+        const double stamp_span = g.lastStamp - g.firstStamp;
+        if (g.in >= 2 && stamp_span > 0.0)
+            g.offeredFps = static_cast<double>(g.in - 1) / stamp_span;
+        if (g.processed > 0) {
+            g.spanSec = g.lastDone - (paced ? g.firstStamp : 0.0);
+            g.sustainedFps =
+                g.spanSec > 0.0
+                    ? static_cast<double>(g.processed) / g.spanSec
+                    : 0.0;
+            g.latency = summarizeLatencies(std::move(g.latencies));
+        }
+        // A batch serve races no sensor: NotApplicable, never a
+        // vacuous YES.
+        g.realTime =
+            evaluateRealTime(g.sustainedFps, paced ? g.offeredFps : 0.0);
+    }
+    return out;
+}
+
+/** The slice fields every group kind shares. */
+ServingSlice
+sliceOf(const Group &g)
+{
+    ServingSlice s;
+    s.framesIn = g.in;
+    s.framesDone = g.processed;
+    s.framesMissed = g.in - g.processed;
+    s.framesFailed = g.failed;
+    s.framesRetried = g.retried;
+    s.framesDegraded = g.degraded;
+    s.sustainedFps = g.sustainedFps;
+    s.p50LatencySec = g.latency.p50;
+    s.p95LatencySec = g.latency.p95;
+    s.p99LatencySec = g.latency.p99;
+    s.maxLatencySec = g.latency.max;
+    s.realTime = g.realTime;
+    return s;
+}
+
+/**
+ * Derive the aggregate, per-sensor and per-backend views of @p rep
+ * from @p ledger (indexed by global position). Reads rep.paced and
+ * rep.shardBackends; per-backend slices follow the first-shard
+ * order of the named backends.
+ */
+void
+summarize(const SensorStream &stream,
+          const std::vector<FrameRecord> &ledger, ServingReport &rep)
+{
+    std::vector<const FrameRecord *> completions;
+    for (const FrameRecord &row : ledger) {
+        if (row.outcome == FrameOutcome::Processed)
+            completions.push_back(&row);
+    }
+    std::sort(completions.begin(), completions.end(),
+              [](const FrameRecord *a, const FrameRecord *b) {
+                  return completesBefore(*a, *b);
+              });
+
+    const Group all = groupBy(stream, ledger, completions, rep.paced,
+                              1, [](const FrameRecord &) {
+                                  return std::size_t{0};
+                              })[0];
+    rep.framesIn = all.in;
+    rep.framesProcessed = all.processed;
+    rep.framesDropped = all.dropped;
+    rep.framesAbandoned = all.abandoned;
+    rep.framesShed = all.shed;
+    rep.framesFailed = all.failed;
+    rep.framesRetried = all.retried;
+    rep.framesDegraded = all.degraded;
+    rep.makespanSec = all.spanSec;
+    rep.sustainedFps = all.sustainedFps;
+    rep.meanLatencySec = all.latency.mean;
+    rep.p50LatencySec = all.latency.p50;
+    rep.p95LatencySec = all.latency.p95;
+    rep.p99LatencySec = all.latency.p99;
+    rep.maxLatencySec = all.latency.max;
+
+    const std::vector<Group> by_sensor =
+        groupBy(stream, ledger, completions, rep.paced,
+                stream.sensorCount,
+                [](const FrameRecord &row) { return row.sensor; });
+    rep.sensors.assign(stream.sensorCount, SensorServingReport{});
+    for (std::size_t k = 0; k < stream.sensorCount; ++k) {
+        SensorServingReport &sr = rep.sensors[k];
+        static_cast<ServingSlice &>(sr) = sliceOf(by_sensor[k]);
+        sr.sensor = k;
+        sr.shardSpread = by_sensor[k].shards.size();
+        sr.framesShed = by_sensor[k].shed;
+        sr.generationFps = by_sensor[k].offeredFps;
+    }
+
+    // Backends: one group per distinct named backend, holding the
+    // rows dispatched to its shards (shed rows never were).
+    rep.backends.clear();
+    std::vector<std::size_t> backend_of(rep.shardBackends.size(),
+                                        kNoGroup);
+    for (std::size_t s = 0; s < rep.shardBackends.size(); ++s) {
+        const std::string &name = rep.shardBackends[s];
+        if (name.empty())
+            continue;
+        std::size_t b = 0;
+        while (b < rep.backends.size() &&
+               rep.backends[b].backend != name)
+            ++b;
+        if (b == rep.backends.size()) {
+            rep.backends.emplace_back();
+            rep.backends.back().backend = name;
+        }
+        backend_of[s] = b;
+        rep.backends[b].shards++;
+    }
+    const std::vector<Group> by_backend = groupBy(
+        stream, ledger, completions, rep.paced, rep.backends.size(),
+        [&](const FrameRecord &row) {
+            if (row.outcome == FrameOutcome::Shed)
+                return kNoGroup;
+            HGPCN_ASSERT(row.shard < backend_of.size(), "frame ",
+                         row.index, " on shard ", row.shard,
+                         " beyond the fleet width ",
+                         backend_of.size());
+            return backend_of[row.shard];
+        });
+    for (std::size_t b = 0; b < rep.backends.size(); ++b) {
+        BackendServingReport &br = rep.backends[b];
+        static_cast<ServingSlice &>(br) = sliceOf(by_backend[b]);
+        br.offeredFps = by_backend[b].offeredFps;
+    }
+}
+
+/**
+ * Sort @p rows into a ledger indexed by global position and check
+ * conservation: each of the stream's @p n frames has exactly one
+ * row.
+ */
+std::vector<FrameRecord>
+indexLedger(std::vector<FrameRecord> rows, std::size_t n)
+{
+    std::sort(rows.begin(), rows.end(),
+              [](const FrameRecord &a, const FrameRecord &b) {
+                  return a.index < b.index;
+              });
+    HGPCN_ASSERT(rows.size() == n, "ledger holds ", rows.size(),
+                 " rows for ", n, " offered frames");
+    for (std::size_t i = 0; i < n; ++i) {
+        HGPCN_ASSERT(rows[i].index == i, "frame ", i,
+                     " has no ledger row or more than one");
+    }
+    return rows;
+}
+
+/**
+ * Complete a merge once its ledger is final: stamp every served
+ * frame with its row's sensor, shard and global times, order the
+ * frames by completion and derive the report's views.
+ */
+void
+finish(const SensorStream &stream, ServingResult &out)
+{
+    std::vector<std::size_t> sensor_index(stream.size(), 0);
+    std::vector<std::size_t> seen(stream.sensorCount, 0);
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        sensor_index[i] = seen[stream.sensors[i]]++;
+    for (ServedFrame &sf : out.frames) {
+        const FrameRecord &row = out.ledger[sf.globalIndex];
+        HGPCN_ASSERT(row.outcome == FrameOutcome::Processed, "frame ",
+                     sf.globalIndex, " served but not processed");
+        sf.sensor = row.sensor;
+        sf.sensorIndex = sensor_index[sf.globalIndex];
+        sf.shard = row.shard;
+        sf.doneSec = row.doneSec;
+        sf.latencySec = row.latencySec;
+    }
+    std::sort(out.frames.begin(), out.frames.end(),
+              [&](const ServedFrame &a, const ServedFrame &b) {
+                  return completesBefore(out.ledger[a.globalIndex],
+                                         out.ledger[b.globalIndex]);
+              });
+    summarize(stream, out.ledger, out.report);
 }
 
 } // namespace
@@ -138,248 +397,38 @@ mergeShardOutcomes(const SensorStream &stream,
     rep.placement = policy;
     rep.shardCount = outcomes.size();
     rep.sensorCount = stream.sensorCount;
-    rep.framesIn = stream.size();
-
-    // Position of every frame within its own sensor's sequence.
-    std::vector<std::size_t> sensor_index(stream.size(), 0);
-    std::vector<std::size_t> seen(stream.sensorCount, 0);
-    for (std::size_t i = 0; i < stream.size(); ++i)
-        sensor_index[i] = seen[stream.sensors[i]]++;
-
     rep.paced = true;
-    for (const ShardOutcome &oc : outcomes) {
+    std::vector<FrameRecord> rows;
+    rows.reserve(stream.size());
+    for (std::size_t s = 0; s < outcomes.size(); ++s) {
+        ShardOutcome &oc = outcomes[s];
         const RuntimeReport &r = oc.result.report;
-        rep.framesProcessed += r.framesProcessed;
-        rep.framesDropped += r.framesDropped;
-        rep.framesAbandoned += r.framesAbandoned;
-        rep.framesFailed += r.framesFailed;
-        rep.framesRetried += r.framesRetried;
-        rep.framesDegraded += r.framesDegraded;
         if (r.framesIn > 0)
             rep.paced = rep.paced && r.paced;
         rep.shardReports.push_back(r);
         rep.shardBackends.push_back(oc.backend);
         out.metrics.merge(oc.result.metrics);
-    }
 
-    // Re-anchor every shard clock onto the global timeline and
-    // collect the completed frames.
-    for (std::size_t s = 0; s < outcomes.size(); ++s) {
-        ShardOutcome &oc = outcomes[s];
-        for (ProcessedFrame &pf : oc.result.frames) {
-            HGPCN_ASSERT(pf.index < oc.globalIndex.size(),
-                         "shard ", s, " frame index ", pf.index,
+        // Shard-local index and clock -> global index and clock.
+        for (FrameRecord row : oc.result.ledger) {
+            HGPCN_ASSERT(row.index < oc.globalIndex.size(), "shard ",
+                         s, " frame index ", row.index,
                          " has no global mapping");
-            const std::size_t g = oc.globalIndex[pf.index];
+            row.index = oc.globalIndex[row.index];
+            row.sensor = stream.sensors[row.index];
+            row.shard = s;
+            row.doneSec += oc.anchorSec;
+            rows.push_back(row);
+        }
+        for (ProcessedFrame &pf : oc.result.frames) {
             ServedFrame sf;
-            sf.globalIndex = g;
-            sf.sensor = stream.sensors[g];
-            sf.sensorIndex = sensor_index[g];
-            sf.shard = s;
-            sf.latencySec = pf.latencySec;
-            sf.doneSec = oc.anchorSec + pf.doneSec;
+            sf.globalIndex = oc.globalIndex.at(pf.index);
             sf.result = std::move(pf.result);
             out.frames.push_back(std::move(sf));
         }
     }
-    std::sort(out.frames.begin(), out.frames.end(),
-              [](const ServedFrame &a, const ServedFrame &b) {
-                  if (a.doneSec != b.doneSec)
-                      return a.doneSec < b.doneSec;
-                  return a.globalIndex < b.globalIndex;
-              });
-
-    // Aggregate makespan + latency distribution.
-    const double global_start =
-        rep.paced && !stream.frames.empty()
-            ? stream.frames.front().timestamp
-            : 0.0;
-    std::vector<double> latencies;
-    latencies.reserve(out.frames.size());
-    double max_done = global_start;
-    for (const ServedFrame &sf : out.frames) {
-        latencies.push_back(sf.latencySec);
-        max_done = std::max(max_done, sf.doneSec);
-        rep.maxLatencySec = std::max(rep.maxLatencySec,
-                                     sf.latencySec);
-        rep.meanLatencySec += sf.latencySec;
-    }
-    if (!latencies.empty()) {
-        rep.meanLatencySec /= static_cast<double>(latencies.size());
-        std::sort(latencies.begin(), latencies.end());
-        rep.p50LatencySec = percentileNearestRank(latencies, 0.50);
-        rep.p95LatencySec = percentileNearestRank(latencies, 0.95);
-        rep.p99LatencySec = percentileNearestRank(latencies, 0.99);
-        rep.makespanSec = max_done - global_start;
-        rep.sustainedFps =
-            rep.makespanSec > 0.0
-                ? static_cast<double>(rep.framesProcessed) /
-                      rep.makespanSec
-                : 0.0;
-    }
-
-    // Per-sensor slices.
-    rep.sensors.resize(stream.sensorCount);
-    std::vector<std::vector<double>> sensor_lat(stream.sensorCount);
-    std::vector<std::set<std::size_t>> sensor_shards(
-        stream.sensorCount);
-    std::vector<std::vector<double>> sensor_stamps(
-        stream.sensorCount);
-    std::vector<double> sensor_done(
-        stream.sensorCount, -std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        rep.sensors[stream.sensors[i]].framesIn++;
-        sensor_stamps[stream.sensors[i]].push_back(
-            stream.frames[i].timestamp);
-    }
-    for (const ServedFrame &sf : out.frames) {
-        SensorServingReport &sr = rep.sensors[sf.sensor];
-        sr.framesDone++;
-        sr.maxLatencySec = std::max(sr.maxLatencySec, sf.latencySec);
-        sensor_lat[sf.sensor].push_back(sf.latencySec);
-        sensor_shards[sf.sensor].insert(sf.shard);
-        sensor_done[sf.sensor] =
-            std::max(sensor_done[sf.sensor], sf.doneSec);
-    }
-    for (std::size_t k = 0; k < stream.sensorCount; ++k) {
-        SensorServingReport &sr = rep.sensors[k];
-        sr.sensor = k;
-        sr.framesMissed = sr.framesIn - sr.framesDone;
-        sr.shardSpread = sensor_shards[k].size();
-        sr.generationFps = generationFpsOf(sensor_stamps[k]);
-        if (sr.framesDone > 0) {
-            const double first_offer =
-                rep.paced ? sensor_stamps[k].front() : 0.0;
-            const double span = sensor_done[k] - first_offer;
-            sr.sustainedFps =
-                span > 0.0
-                    ? static_cast<double>(sr.framesDone) / span
-                    : 0.0;
-            std::sort(sensor_lat[k].begin(), sensor_lat[k].end());
-            sr.p50LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.50);
-            sr.p95LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.95);
-            sr.p99LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.99);
-        }
-        // The fixed Section VII-E semantics: a batch serve races no
-        // sensor, so the verdict is n/a, never a vacuous YES.
-        sr.realTime = evaluateRealTime(
-            sr.sustainedFps, rep.paced ? sr.generationFps : 0.0);
-    }
-
-    // Per-backend slices: group shards by attributed backend name
-    // (first-shard order) and aggregate each group the same way a
-    // sensor slice is — dispatched stamps give the offered rate,
-    // completions the sustained rate and the latency distribution.
-    std::vector<std::size_t> backend_of(outcomes.size(), 0);
-    for (std::size_t s = 0; s < outcomes.size(); ++s) {
-        const std::string &name = outcomes[s].backend;
-        if (name.empty()) {
-            backend_of[s] = rep.backends.size(); // sentinel: none
-            continue;
-        }
-        std::size_t b = 0;
-        while (b < rep.backends.size() &&
-               rep.backends[b].backend != name)
-            ++b;
-        if (b == rep.backends.size()) {
-            BackendServingReport br;
-            br.backend = name;
-            rep.backends.push_back(std::move(br));
-        }
-        backend_of[s] = b;
-        rep.backends[b].shards++;
-    }
-
-    // Fault attribution: every shard reports its failed/retried/
-    // degraded frames as shard-local indices; the globalIndex
-    // mapping pins each to its sensor (and the shard's backend).
-    for (std::size_t s = 0; s < outcomes.size(); ++s) {
-        const ShardOutcome &oc = outcomes[s];
-        const bool attributed = !oc.backend.empty();
-        const auto attribute =
-            [&](const std::vector<std::size_t> &indices,
-                std::size_t SensorServingReport::*sensor_field,
-                std::size_t BackendServingReport::*backend_field) {
-                for (const std::size_t idx : indices) {
-                    HGPCN_ASSERT(idx < oc.globalIndex.size(),
-                                 "shard ", s, " fault index ", idx,
-                                 " has no global mapping");
-                    const std::size_t g = oc.globalIndex[idx];
-                    rep.sensors[stream.sensors[g]].*sensor_field +=
-                        1;
-                    if (attributed)
-                        rep.backends[backend_of[s]].*backend_field +=
-                            1;
-                }
-            };
-        attribute(oc.result.failedFrames,
-                  &SensorServingReport::framesFailed,
-                  &BackendServingReport::framesFailed);
-        attribute(oc.result.retriedFrames,
-                  &SensorServingReport::framesRetried,
-                  &BackendServingReport::framesRetried);
-        attribute(oc.result.degradedFrames,
-                  &SensorServingReport::framesDegraded,
-                  &BackendServingReport::framesDegraded);
-    }
-
-    if (!rep.backends.empty()) {
-        const std::size_t n_backends = rep.backends.size();
-        std::vector<std::vector<double>> offered(n_backends);
-        std::vector<std::vector<double>> lat(n_backends);
-        std::vector<double> last_done(
-            n_backends, -std::numeric_limits<double>::infinity());
-        for (std::size_t s = 0; s < outcomes.size(); ++s) {
-            if (outcomes[s].backend.empty())
-                continue;
-            BackendServingReport &br =
-                rep.backends[backend_of[s]];
-            br.framesIn += outcomes[s].globalIndex.size();
-            for (const std::size_t g : outcomes[s].globalIndex)
-                offered[backend_of[s]].push_back(
-                    stream.frames[g].timestamp);
-        }
-        for (const ServedFrame &sf : out.frames) {
-            if (outcomes[sf.shard].backend.empty())
-                continue;
-            const std::size_t b = backend_of[sf.shard];
-            BackendServingReport &br = rep.backends[b];
-            br.framesDone++;
-            br.maxLatencySec =
-                std::max(br.maxLatencySec, sf.latencySec);
-            lat[b].push_back(sf.latencySec);
-            last_done[b] = std::max(last_done[b], sf.doneSec);
-        }
-        for (std::size_t b = 0; b < n_backends; ++b) {
-            BackendServingReport &br = rep.backends[b];
-            br.framesMissed = br.framesIn - br.framesDone;
-            std::sort(offered[b].begin(), offered[b].end());
-            br.offeredFps = generationFpsOf(offered[b]);
-            if (br.framesDone > 0) {
-                const double first_offer =
-                    rep.paced && !offered[b].empty()
-                        ? offered[b].front()
-                        : 0.0;
-                const double span = last_done[b] - first_offer;
-                br.sustainedFps =
-                    span > 0.0
-                        ? static_cast<double>(br.framesDone) / span
-                        : 0.0;
-                std::sort(lat[b].begin(), lat[b].end());
-                br.p50LatencySec =
-                    percentileNearestRank(lat[b], 0.50);
-                br.p95LatencySec =
-                    percentileNearestRank(lat[b], 0.95);
-                br.p99LatencySec =
-                    percentileNearestRank(lat[b], 0.99);
-            }
-            br.realTime = evaluateRealTime(
-                br.sustainedFps, rep.paced ? br.offeredFps : 0.0);
-        }
-    }
+    out.ledger = indexLedger(std::move(rows), stream.size());
+    finish(stream, out);
     return out;
 }
 
@@ -396,7 +445,6 @@ mergeEpochResults(const SensorStream &stream,
     ServingReport &rep = out.report;
     rep.placement = policy;
     rep.sensorCount = stream.sensorCount;
-    rep.framesIn = stream.size();
 
     // Peak fleet width: every per-shard view is indexed by shard,
     // sized to the widest the fleet ever was (shard s keeps its
@@ -407,65 +455,44 @@ mergeEpochResults(const SensorStream &stream,
         peak = std::max(peak, ep.result.report.shardReports.size());
     }
     rep.shardCount = peak;
+    rep.shardBackends.assign(peak, std::string());
+    for (std::size_t s = 0;
+         s < std::min(peak, shard_backends.size()); ++s)
+        rep.shardBackends[s] = shard_backends[s];
 
-    // Position of every frame within its own sensor's sequence.
-    std::vector<std::size_t> sensor_index(stream.size(), 0);
-    std::vector<std::size_t> seen(stream.sensorCount, 0);
-    for (std::size_t i = 0; i < stream.size(); ++i)
-        sensor_index[i] = seen[stream.sensors[i]]++;
-
-    // Counts, pacing, shed accounting.
+    // The ledger: every epoch's rows (epoch-local index -> global;
+    // completion times are on the global clock already, as paced
+    // shard clocks anchor at absolute stamps) plus the shed frames.
     rep.paced = true;
-    std::vector<std::size_t> sensor_shed(stream.sensorCount, 0);
-    std::vector<SensorServingReport> sensor_faults(
-        stream.sensorCount);
-    for (const EpochOutcome &ep : outcomes) {
-        const ServingReport &er = ep.result.report;
-        rep.framesProcessed += er.framesProcessed;
-        rep.framesDropped += er.framesDropped;
-        rep.framesAbandoned += er.framesAbandoned;
-        rep.framesFailed += er.framesFailed;
-        rep.framesRetried += er.framesRetried;
-        rep.framesDegraded += er.framesDegraded;
-        // Epoch sub-streams keep the full stream's sensor space, so
-        // per-sensor fault attributions sum index-wise.
-        for (std::size_t k = 0;
-             k < std::min(er.sensors.size(), stream.sensorCount);
-             ++k) {
-            sensor_faults[k].framesFailed +=
-                er.sensors[k].framesFailed;
-            sensor_faults[k].framesRetried +=
-                er.sensors[k].framesRetried;
-            sensor_faults[k].framesDegraded +=
-                er.sensors[k].framesDegraded;
+    std::vector<FrameRecord> rows;
+    rows.reserve(stream.size());
+    for (EpochOutcome &ep : outcomes) {
+        if (ep.result.report.framesIn > 0)
+            rep.paced = rep.paced && ep.result.report.paced;
+        out.metrics.merge(ep.result.metrics);
+        for (FrameRecord row : ep.result.ledger) {
+            HGPCN_ASSERT(row.index < ep.globalIndex.size(),
+                         "epoch frame index ", row.index,
+                         " has no global mapping");
+            row.index = ep.globalIndex[row.index];
+            row.sensor = stream.sensors[row.index];
+            rows.push_back(row);
         }
-        if (er.framesIn > 0)
-            rep.paced = rep.paced && er.paced;
-        rep.framesShed += ep.shedGlobalIndex.size();
         for (const std::size_t g : ep.shedGlobalIndex) {
             HGPCN_ASSERT(g < stream.size(), "shed index ", g,
                          " outside the stream");
-            sensor_shed[stream.sensors[g]]++;
+            FrameRecord row;
+            row.index = g;
+            row.sensor = stream.sensors[g];
+            row.outcome = FrameOutcome::Shed;
+            rows.push_back(row);
         }
-        out.metrics.merge(ep.result.metrics);
-    }
-
-    // Collect completions onto global indices. Epoch serves stamp
-    // completions on the global clock already (paced shard clocks
-    // anchor at absolute timestamps), so no re-anchoring beyond the
-    // index mapping is needed.
-    for (EpochOutcome &ep : outcomes) {
         for (ServedFrame &sf : ep.result.frames) {
-            HGPCN_ASSERT(sf.globalIndex < ep.globalIndex.size(),
-                         "epoch frame index ", sf.globalIndex,
-                         " has no global mapping");
-            const std::size_t g = ep.globalIndex[sf.globalIndex];
-            sf.globalIndex = g;
-            sf.sensor = stream.sensors[g];
-            sf.sensorIndex = sensor_index[g];
+            sf.globalIndex = ep.globalIndex.at(sf.globalIndex);
             out.frames.push_back(std::move(sf));
         }
     }
+    out.ledger = indexLedger(std::move(rows), stream.size());
 
     // In-order delivery per sensor: a reconfigured fleet may finish
     // a sensor's later frame (new epoch, fresh shard) before an
@@ -475,64 +502,24 @@ mergeEpochResults(const SensorStream &stream,
     // latency. Within an epoch the clamp is a no-op under sensor
     // affinity (FIFO pipelines); across epochs it is the handoff
     // serialization cost.
-    std::sort(out.frames.begin(), out.frames.end(),
-              [](const ServedFrame &a, const ServedFrame &b) {
-                  return a.globalIndex < b.globalIndex;
-              });
     std::vector<double> last_done(
         stream.sensorCount, -std::numeric_limits<double>::infinity());
-    for (ServedFrame &sf : out.frames) {
-        if (sf.doneSec < last_done[sf.sensor]) {
-            sf.latencySec += last_done[sf.sensor] - sf.doneSec;
-            sf.doneSec = last_done[sf.sensor];
+    for (FrameRecord &row : out.ledger) {
+        if (row.outcome != FrameOutcome::Processed)
+            continue;
+        if (row.doneSec < last_done[row.sensor]) {
+            row.latencySec += last_done[row.sensor] - row.doneSec;
+            row.doneSec = last_done[row.sensor];
         }
-        last_done[sf.sensor] = sf.doneSec;
+        last_done[row.sensor] = row.doneSec;
     }
-    std::sort(out.frames.begin(), out.frames.end(),
-              [](const ServedFrame &a, const ServedFrame &b) {
-                  if (a.doneSec != b.doneSec)
-                      return a.doneSec < b.doneSec;
-                  return a.globalIndex < b.globalIndex;
-              });
-
-    // Aggregate makespan + latency distribution.
-    const double global_start =
-        rep.paced && !stream.frames.empty()
-            ? stream.frames.front().timestamp
-            : 0.0;
-    std::vector<double> latencies;
-    latencies.reserve(out.frames.size());
-    double max_done = global_start;
-    for (const ServedFrame &sf : out.frames) {
-        latencies.push_back(sf.latencySec);
-        max_done = std::max(max_done, sf.doneSec);
-        rep.maxLatencySec = std::max(rep.maxLatencySec,
-                                     sf.latencySec);
-        rep.meanLatencySec += sf.latencySec;
-    }
-    if (!latencies.empty()) {
-        rep.meanLatencySec /= static_cast<double>(latencies.size());
-        std::sort(latencies.begin(), latencies.end());
-        rep.p50LatencySec = percentileNearestRank(latencies, 0.50);
-        rep.p95LatencySec = percentileNearestRank(latencies, 0.95);
-        rep.p99LatencySec = percentileNearestRank(latencies, 0.99);
-        rep.makespanSec = max_done - global_start;
-        rep.sustainedFps =
-            rep.makespanSec > 0.0
-                ? static_cast<double>(rep.framesProcessed) /
-                      rep.makespanSec
-                : 0.0;
-    }
+    finish(stream, out);
 
     // Per-shard views: shard s aggregated across every epoch it was
     // active in. Counts sum; busy time re-normalizes over the
     // summed per-epoch makespans; the latency distribution comes
     // from the shard's own completions (post-clamp).
     rep.shardReports.assign(peak, RuntimeReport{});
-    rep.shardBackends.assign(peak, std::string());
-    for (std::size_t s = 0;
-         s < std::min(peak, shard_backends.size()); ++s)
-        rep.shardBackends[s] = shard_backends[s];
     std::vector<double> shard_span(peak, 0.0);
     for (const EpochOutcome &ep : outcomes) {
         const std::vector<RuntimeReport> &ers =
@@ -620,168 +607,14 @@ mergeEpochResults(const SensorStream &stream,
                                           shard_span[s]
                                     : 0.0;
         }
-        if (!shard_lat[s].empty()) {
-            std::sort(shard_lat[s].begin(), shard_lat[s].end());
-            agg.p50LatencySec =
-                percentileNearestRank(shard_lat[s], 0.50);
-            agg.p95LatencySec =
-                percentileNearestRank(shard_lat[s], 0.95);
-            agg.p99LatencySec =
-                percentileNearestRank(shard_lat[s], 0.99);
-            agg.maxLatencySec = shard_lat[s].back();
-            for (const double l : shard_lat[s])
-                agg.meanLatencySec += l;
-            agg.meanLatencySec /=
-                static_cast<double>(shard_lat[s].size());
-        }
+        const LatencySummary lat =
+            summarizeLatencies(std::move(shard_lat[s]));
+        agg.meanLatencySec = lat.mean;
+        agg.p50LatencySec = lat.p50;
+        agg.p95LatencySec = lat.p95;
+        agg.p99LatencySec = lat.p99;
+        agg.maxLatencySec = lat.max;
         agg.realTime = RealTimeVerdict::NotApplicable;
-    }
-
-    // Per-sensor slices, from the full stream (offered, stamps,
-    // shed) and the clamped completions.
-    rep.sensors.resize(stream.sensorCount);
-    std::vector<std::vector<double>> sensor_lat(stream.sensorCount);
-    std::vector<std::set<std::size_t>> sensor_shards(
-        stream.sensorCount);
-    std::vector<std::vector<double>> sensor_stamps(
-        stream.sensorCount);
-    std::vector<double> sensor_done(
-        stream.sensorCount, -std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        rep.sensors[stream.sensors[i]].framesIn++;
-        sensor_stamps[stream.sensors[i]].push_back(
-            stream.frames[i].timestamp);
-    }
-    for (const ServedFrame &sf : out.frames) {
-        SensorServingReport &sr = rep.sensors[sf.sensor];
-        sr.framesDone++;
-        sr.maxLatencySec = std::max(sr.maxLatencySec, sf.latencySec);
-        sensor_lat[sf.sensor].push_back(sf.latencySec);
-        sensor_shards[sf.sensor].insert(sf.shard);
-        sensor_done[sf.sensor] =
-            std::max(sensor_done[sf.sensor], sf.doneSec);
-    }
-    for (std::size_t k = 0; k < stream.sensorCount; ++k) {
-        SensorServingReport &sr = rep.sensors[k];
-        sr.sensor = k;
-        sr.framesMissed = sr.framesIn - sr.framesDone;
-        sr.framesShed = sensor_shed[k];
-        sr.framesFailed = sensor_faults[k].framesFailed;
-        sr.framesRetried = sensor_faults[k].framesRetried;
-        sr.framesDegraded = sensor_faults[k].framesDegraded;
-        sr.shardSpread = sensor_shards[k].size();
-        sr.generationFps = generationFpsOf(sensor_stamps[k]);
-        if (sr.framesDone > 0) {
-            const double first_offer =
-                rep.paced ? sensor_stamps[k].front() : 0.0;
-            const double span = sensor_done[k] - first_offer;
-            sr.sustainedFps =
-                span > 0.0
-                    ? static_cast<double>(sr.framesDone) / span
-                    : 0.0;
-            std::sort(sensor_lat[k].begin(), sensor_lat[k].end());
-            sr.p50LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.50);
-            sr.p95LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.95);
-            sr.p99LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.99);
-        }
-        sr.realTime = evaluateRealTime(
-            sr.sustainedFps, rep.paced ? sr.generationFps : 0.0);
-    }
-
-    // Per-backend slices. Shard index -> backend is stable across
-    // reconfigurations (ShardedRunner's cycling rule), so a
-    // backend's fleet is a fixed set of shard indices; it is
-    // *active* in an epoch when at least one of its shards is.
-    // Dispatch identities of dropped frames are epoch-local, so the
-    // elastic per-backend offered rate is dispatched / active
-    // window rather than a stamp-span rate — closed-form from the
-    // epoch logs either way.
-    std::vector<std::size_t> backend_of(peak, peak);
-    for (std::size_t s = 0; s < peak; ++s) {
-        const std::string &name = rep.shardBackends[s];
-        if (name.empty())
-            continue;
-        std::size_t b = 0;
-        while (b < rep.backends.size() &&
-               rep.backends[b].backend != name)
-            ++b;
-        if (b == rep.backends.size()) {
-            BackendServingReport br;
-            br.backend = name;
-            rep.backends.push_back(std::move(br));
-        }
-        backend_of[s] = b;
-        rep.backends[b].shards++;
-    }
-    if (!rep.backends.empty()) {
-        const std::size_t n_backends = rep.backends.size();
-        std::vector<std::vector<double>> lat(n_backends);
-        std::vector<double> active_sec(n_backends, 0.0);
-        std::vector<double> first_active(
-            n_backends, std::numeric_limits<double>::infinity());
-        std::vector<double> last_done(
-            n_backends, -std::numeric_limits<double>::infinity());
-        for (const EpochOutcome &ep : outcomes) {
-            const std::vector<RuntimeReport> &ers =
-                ep.result.report.shardReports;
-            std::vector<bool> seen_backend(n_backends, false);
-            for (std::size_t s = 0; s < ers.size(); ++s) {
-                if (backend_of[s] >= n_backends)
-                    continue;
-                const std::size_t b = backend_of[s];
-                rep.backends[b].framesIn += ers[s].framesIn;
-                rep.backends[b].framesFailed += ers[s].framesFailed;
-                rep.backends[b].framesRetried +=
-                    ers[s].framesRetried;
-                rep.backends[b].framesDegraded +=
-                    ers[s].framesDegraded;
-                if (!seen_backend[b]) {
-                    seen_backend[b] = true;
-                    active_sec[b] += ep.endSec - ep.startSec;
-                    first_active[b] =
-                        std::min(first_active[b], ep.startSec);
-                }
-            }
-        }
-        for (const ServedFrame &sf : out.frames) {
-            if (backend_of[sf.shard] >= n_backends)
-                continue;
-            const std::size_t b = backend_of[sf.shard];
-            BackendServingReport &br = rep.backends[b];
-            br.framesDone++;
-            br.maxLatencySec =
-                std::max(br.maxLatencySec, sf.latencySec);
-            lat[b].push_back(sf.latencySec);
-            last_done[b] = std::max(last_done[b], sf.doneSec);
-        }
-        for (std::size_t b = 0; b < n_backends; ++b) {
-            BackendServingReport &br = rep.backends[b];
-            br.framesMissed = br.framesIn - br.framesDone;
-            br.offeredFps =
-                active_sec[b] > 0.0
-                    ? static_cast<double>(br.framesIn) /
-                          active_sec[b]
-                    : 0.0;
-            if (br.framesDone > 0) {
-                const double span = last_done[b] - first_active[b];
-                br.sustainedFps =
-                    span > 0.0
-                        ? static_cast<double>(br.framesDone) / span
-                        : 0.0;
-                std::sort(lat[b].begin(), lat[b].end());
-                br.p50LatencySec =
-                    percentileNearestRank(lat[b], 0.50);
-                br.p95LatencySec =
-                    percentileNearestRank(lat[b], 0.95);
-                br.p99LatencySec =
-                    percentileNearestRank(lat[b], 0.99);
-            }
-            br.realTime = evaluateRealTime(
-                br.sustainedFps, rep.paced ? br.offeredFps : 0.0);
-        }
     }
     return out;
 }

@@ -1,39 +1,42 @@
 /**
  * @file
- * Aggregate reporting for the sharded serving layer.
+ * Reporting for the sharded and elastic serving layers: one ledger,
+ * every view a group-by over it.
  *
- * Every shard produces an ordinary RuntimeResult on its own virtual
- * clock (anchored at its first admitted frame). The merge re-anchors
- * all shard clocks onto one global timeline and derives:
+ * A serve's source of truth is its ledger — one FrameRecord per
+ * offered frame (runtime/stream_runner.h): global index, sensor,
+ * shard, one terminal outcome (processed, dropped, abandoned, shed
+ * or failed), attempts, a degraded flag and the completion and
+ * latency on the global clock. Each frame has exactly one row, so
+ * conservation (framesIn == processed + dropped + abandoned + shed
+ * + failed) holds by construction; the merges assert it.
  *
- *  - the aggregate view: global sustained FPS over the union
- *    makespan, merged latency percentiles, total drops/abandons;
- *  - the per-shard view: each shard's RuntimeReport, unchanged;
- *  - the per-sensor view: offered/processed counts, the sensor's
- *    own generation rate and a Section VII-E verdict computed with
- *    the tri-state semantics (common/real_time.h) — NotApplicable
- *    for unpaced serves, never a vacuous YES;
- *  - the per-backend view (heterogeneous fleets): each distinct
- *    execution backend's dispatched/completed counts, sustained
- *    FPS, latency percentiles and its own Section VII-E verdict
- *    against the rate of the traffic routed to it.
+ * The two merges only build the ledger:
  *
- * mergeShardOutcomes is a pure function of the shard outcomes so
- * the arithmetic is unit-testable without running a fleet.
+ *  - mergeShardOutcomes maps each shard's rows (shard-local index
+ *    and clock, anchored at its first admitted frame) to global
+ *    indices and re-anchors them;
+ *  - mergeEpochResults concatenates the epoch ledgers of an elastic
+ *    serve (serving/autoscaler.h), adds the rows admission control
+ *    shed, then clamps completions to in-order delivery per sensor:
+ *    a frame handed off across an epoch boundary cannot be
+ *    delivered before its predecessor finishes, and the wait joins
+ *    its latency.
  *
- * The elastic layer (serving/autoscaler.h) serves a stream as a
- * sequence of control epochs, each an ordinary fleet serve at that
- * epoch's shard count, with admission control shedding frames
- * before dispatch. mergeEpochResults re-anchors those per-epoch
- * results across fleet reconfigurations into one ServingResult:
- * per-shard views aggregate each shard index across every epoch it
- * was active in, per-sensor/per-backend views are recomputed over
- * the union of completions, shed frames are accounted
- * (framesIn == processed + dropped + abandoned + shed), and
- * completions are clamped to in-order delivery per sensor — a
- * frame handed off across an epoch boundary cannot be delivered
- * before its predecessor finishes. It is equally a pure function,
- * unit-tested against hand-built epochs in tests/test_elastic.cc.
+ * One summary then derives every frame-level view from the rows —
+ * the aggregate (counts, makespan, latency percentiles, sustained
+ * FPS), per-sensor slices and per-backend slices, the last two the
+ * same computation under a different group key. A slice's offered
+ * rate is the stamp span of its rows, (n-1)/span; its sustained rate
+ * is completions over first offer -> last completion; its Section
+ * VII-E verdict uses the tri-state semantics (common/real_time.h),
+ * NotApplicable for unpaced serves, never a vacuous YES.
+ *
+ * The per-shard views are the shards' own RuntimeReports; an
+ * elastic serve aggregates each shard index across the epochs it
+ * was active in. Both merges are pure functions of their inputs,
+ * unit-tested against hand-built outcomes in tests/test_serving.cc
+ * and tests/test_elastic.cc.
  */
 
 #ifndef HGPCN_SERVING_SERVING_REPORT_H
@@ -50,31 +53,19 @@
 namespace hgpcn
 {
 
-/** One sensor's slice of a serve. */
-struct SensorServingReport
+/** What a per-sensor and a per-backend slice share: one group of
+ * ledger rows, reduced. */
+struct ServingSlice
 {
-    std::size_t sensor = 0;
-    /** Distinct shards that completed frames of this sensor (1
-     * under HashBySensor affinity). */
-    std::size_t shardSpread = 0;
-    std::size_t framesIn = 0;    //!< offered by this sensor
-    std::size_t framesDone = 0;  //!< completed the pipeline
+    std::size_t framesIn = 0;   //!< offered to (routed to) the group
+    std::size_t framesDone = 0; //!< completed the pipeline
     /** Offered - completed: dropped by overload, abandoned by a
-     * shard stop (the split is only known shard-wide) or shed by
-     * admission control (counted separately below). */
+     * stop, shed by admission control or failed. */
     std::size_t framesMissed = 0;
-    /** Of framesMissed: refused by admission control before
-     * dispatch (elastic serving only; 0 for a plain fleet serve). */
-    std::size_t framesShed = 0;
-    /** Of framesMissed: terminally failed (retries/deadline
-     * exhausted) after dispatch. */
-    std::size_t framesFailed = 0;
-    /** Of framesDone: completed only after >= 1 retry. */
-    std::size_t framesRetried = 0;
-    /** Of framesDone: served at reduced fidelity. */
-    std::size_t framesDegraded = 0;
+    std::size_t framesFailed = 0;   //!< of missed: fault-terminal
+    std::size_t framesRetried = 0;  //!< of done: needed retries
+    std::size_t framesDegraded = 0; //!< of done: reduced fidelity
 
-    double generationFps = 0; //!< this sensor's capture rate
     /** Completed / (first offer -> last completion), global clock. */
     double sustainedFps = 0;
 
@@ -83,38 +74,34 @@ struct SensorServingReport
     double p99LatencySec = 0;
     double maxLatencySec = 0;
 
-    /** Section VII-E, per sensor; NotApplicable when unpaced. */
+    /** Section VII-E against the group's offered rate;
+     * NotApplicable when unpaced. */
     RealTimeVerdict realTime = RealTimeVerdict::NotApplicable;
 };
 
-/** One execution backend's slice of a serve (union of the shards
- * that run it). */
-struct BackendServingReport
+/** One sensor's slice of a serve. */
+struct SensorServingReport : ServingSlice
 {
-    std::string backend;        //!< registry name ("hgpcn", ...)
-    std::size_t shards = 0;     //!< fleet replicas of this backend
-    std::size_t framesIn = 0;   //!< dispatched to those shards
-    std::size_t framesDone = 0; //!< completed the pipeline
-    std::size_t framesMissed = 0; //!< dropped, abandoned or failed
-    std::size_t framesFailed = 0;   //!< of missed: fault-terminal
-    std::size_t framesRetried = 0;  //!< of done: needed retries
-    std::size_t framesDegraded = 0; //!< of done: reduced fidelity
+    std::size_t sensor = 0;
+    /** Distinct shards that completed frames of this sensor (1
+     * under HashBySensor affinity). */
+    std::size_t shardSpread = 0;
+    /** Of framesMissed: refused by admission control before
+     * dispatch (elastic serving only; 0 for a plain fleet serve). */
+    std::size_t framesShed = 0;
+    /** This sensor's capture rate ((n-1)/span of its stamps). */
+    double generationFps = 0;
+};
 
+/** One execution backend's slice of a serve (the frames dispatched
+ * to the shards that run it). */
+struct BackendServingReport : ServingSlice
+{
+    std::string backend;    //!< registry name ("hgpcn", ...)
+    std::size_t shards = 0; //!< fleet replicas of this backend
     /** Generation rate of the traffic routed to this backend
      * ((n-1)/span of its dispatched stamps; 0 when underivable). */
     double offeredFps = 0;
-    /** Completed / (first dispatch -> last completion), global
-     * clock. */
-    double sustainedFps = 0;
-
-    double p50LatencySec = 0;
-    double p95LatencySec = 0;
-    double p99LatencySec = 0;
-    double maxLatencySec = 0;
-
-    /** Section VII-E against the routed traffic's rate;
-     * NotApplicable when unpaced. */
-    RealTimeVerdict realTime = RealTimeVerdict::NotApplicable;
 };
 
 /** Aggregate + per-shard + per-sensor + per-backend serving report. */
@@ -189,6 +176,9 @@ struct ServingResult
      * by stream position); dropped/abandoned frames absent. */
     std::vector<ServedFrame> frames;
     ServingReport report;
+    /** One row per offered frame, indexed by global stream
+     * position, on the global clock; the report is a view of it. */
+    std::vector<FrameRecord> ledger;
     /** Fleet-wide metrics: every shard's (or epoch's) registry
      * snapshot merged — counters summed, additive gauges summed,
      * histograms folded bucket-wise (obs/metrics.h). */
@@ -244,15 +234,14 @@ struct EpochOutcome
 /**
  * Merge per-epoch elastic-serve outcomes into one global view.
  *
- * Pure arithmetic, like mergeShardOutcomes. Shard views aggregate
- * per shard *index* across the epochs it was active in (counts
- * summed, busy time re-normalized over the summed epoch makespans);
- * sensor and backend views are recomputed from the union of
- * completions; shed frames join the conservation identity. Before
- * any distribution is derived, completions are clamped to in-order
- * delivery per sensor: a frame's delivery time is at least its
- * predecessor's, with the wait charged to its latency — the
- * cross-epoch handoff cost a reconfiguring fleet really pays.
+ * Pure arithmetic, like mergeShardOutcomes. The ledger is the epoch
+ * ledgers concatenated plus one Shed row per shed frame; before any
+ * view is derived, completions are clamped to in-order delivery per
+ * sensor: a frame's delivery time is at least its predecessor's,
+ * with the wait charged to its latency — the cross-epoch handoff
+ * cost a reconfiguring fleet really pays. Shard views aggregate per
+ * shard *index* across the epochs it was active in (counts summed,
+ * busy time re-normalized over the summed epoch makespans).
  *
  * @param stream The full tagged stream the elastic serve covered.
  * @param outcomes One entry per epoch, in epoch order; moved out.

@@ -315,11 +315,15 @@ ShardedRunner::serve(const SensorStream &stream,
                               have_directives] {
             Shard &shard = *fleet[s];
             if (stopped.load() || shard.stopRequested.load()) {
-                outcomes[s].result.report.framesIn = sub[s].size();
-                outcomes[s].result.report.framesAbandoned =
-                    sub[s].size();
-                outcomes[s].result.report.paced =
-                    shard.runner.config().paceBySensor;
+                RuntimeResult &r = outcomes[s].result;
+                r.report.framesIn = sub[s].size();
+                r.report.framesAbandoned = sub[s].size();
+                r.report.paced = shard.runner.config().paceBySensor;
+                r.ledger.resize(sub[s].size());
+                for (std::size_t i = 0; i < sub[s].size(); ++i) {
+                    r.ledger[i].index = i;
+                    r.ledger[i].outcome = FrameOutcome::Abandoned;
+                }
                 return;
             }
             const FrameTaskCallback hook =

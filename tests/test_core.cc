@@ -254,7 +254,7 @@ TEST(HgPcnSystem, PreprocessingDominatedByBuildNotSampling)
               result.preprocess.dsu.descentSec);
 }
 
-TEST(HgPcnSystem, StreamReportRealTimeCheck)
+TEST(HgPcnSystem, CompatRunProcessesEveryFrame)
 {
     KittiLike::Config lidar_cfg;
     lidar_cfg.azimuthSteps = 250; // small frames for test speed
@@ -266,23 +266,20 @@ TEST(HgPcnSystem, StreamReportRealTimeCheck)
     PointNet2Spec spec = tinyClassifier();
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, spec);
-    const StreamReport report = system.processStream(frames);
-    EXPECT_EQ(report.frames, 3u);
-    EXPECT_GT(report.meanLatencySec, 0.0);
-    EXPECT_GE(report.maxLatencySec, report.meanLatencySec);
-    EXPECT_NEAR(report.generationFps, 10.0, 0.5);
-    EXPECT_EQ(report.realTime,
-              report.meanFps >= report.generationFps
-                  ? RealTimeVerdict::Yes
-                  : RealTimeVerdict::No);
+    const RuntimeResult rt = system.runStream(
+        frames, StreamRunner::compat(frames.size(), 0));
+    EXPECT_EQ(rt.frames.size(), 3u);
+    EXPECT_GT(rt.report.meanLatencySec, 0.0);
+    EXPECT_GE(rt.report.maxLatencySec, rt.report.meanLatencySec);
+    EXPECT_NEAR(streamGenerationFps(frames), 10.0, 0.5);
 }
 
 TEST(HgPcnSystem, UnstampedStreamHasNoGenerationRate)
 {
     // Non-LiDAR generators leave timestamps at 0.0: no sensor rate
-    // is derivable, so the real-time verdicts are NotApplicable —
-    // not the seed's vacuous YES, and not a fatal "non-monotonic
-    // stream" error.
+    // is derivable, so a sensor-paced run falls back to batch
+    // admission and its verdict is NotApplicable — not the seed's
+    // vacuous YES, and not a fatal "non-monotonic stream" error.
     KittiLike::Config lidar_cfg;
     lidar_cfg.azimuthSteps = 250;
     const KittiLike lidar(lidar_cfg);
@@ -293,11 +290,12 @@ TEST(HgPcnSystem, UnstampedStreamHasNoGenerationRate)
     }
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, tinyClassifier());
-    const StreamReport report = system.processStream(frames);
-    EXPECT_DOUBLE_EQ(report.generationFps, 0.0);
-    EXPECT_EQ(report.realTime, RealTimeVerdict::NotApplicable);
-    EXPECT_EQ(report.pipelinedRealTime,
-              RealTimeVerdict::NotApplicable);
+    EXPECT_DOUBLE_EQ(streamGenerationFps(frames), 0.0);
+    const RuntimeResult rt =
+        system.runStream(frames, StreamRunner::Config{});
+    EXPECT_FALSE(rt.report.paced);
+    EXPECT_DOUBLE_EQ(rt.report.generationFps, 0.0);
+    EXPECT_EQ(rt.report.realTime, RealTimeVerdict::NotApplicable);
 }
 
 TEST(HgPcnSystem, PipelinedFpsMatchesSingleWorkerRunner)
@@ -328,9 +326,10 @@ TEST(HgPcnSystem, PipelinedFpsMatchesSingleWorkerRunner)
     const double analytic =
         static_cast<double>(frames.size()) / fpga_done;
 
-    const StreamReport report = system.processStream(frames);
-    EXPECT_NEAR(report.pipelinedFps, analytic, analytic * 0.05);
-    EXPECT_NEAR(report.pipelinedFps, analytic, analytic * 1e-9);
+    const RuntimeResult compat = system.runStream(
+        frames, StreamRunner::compat(frames.size(), 0));
+    EXPECT_NEAR(compat.report.sustainedFps, analytic, analytic * 0.05);
+    EXPECT_NEAR(compat.report.sustainedFps, analytic, analytic * 1e-9);
 
     // Same number through the runner API directly.
     StreamRunner runner(

@@ -318,14 +318,21 @@ TEST(EpochMerge, HandComputedArithmetic)
         stream.sensors.push_back(tags[i]);
     }
 
-    auto served = [](std::size_t local, std::size_t shard,
-                     double done, double lat) {
+    // Each completion is a served frame plus its ledger row.
+    auto served = [](ServingResult &r, std::size_t local,
+                     std::size_t shard, double done, double lat) {
         ServedFrame sf;
         sf.globalIndex = local;
         sf.shard = shard;
         sf.doneSec = done;
         sf.latencySec = lat;
-        return sf;
+        r.frames.push_back(sf);
+        FrameRecord row;
+        row.index = local;
+        row.shard = shard;
+        row.doneSec = done;
+        row.latencySec = lat;
+        r.ledger.push_back(row);
     };
 
     std::vector<EpochOutcome> epochs(2);
@@ -335,8 +342,8 @@ TEST(EpochMerge, HandComputedArithmetic)
     epochs[0].endSec = 1.0;
     epochs[0].activeShards = 1;
     epochs[0].globalIndex = {0, 1};
-    epochs[0].result.frames = {served(0, 0, 0.5, 0.4),
-                               served(1, 0, 1.5, 1.3)};
+    served(epochs[0].result, 0, 0, 0.5, 0.4);
+    served(epochs[0].result, 1, 0, 1.5, 1.3);
     {
         ServingReport &r = epochs[0].result.report;
         r.framesIn = 2;
@@ -355,8 +362,8 @@ TEST(EpochMerge, HandComputedArithmetic)
     epochs[1].activeShards = 2;
     epochs[1].globalIndex = {2, 3};
     epochs[1].shedGlobalIndex = {4};
-    epochs[1].result.frames = {served(0, 0, 1.4, 0.3),
-                               served(1, 1, 1.2, 0.1)};
+    served(epochs[1].result, 0, 0, 1.4, 0.3);
+    served(epochs[1].result, 1, 1, 1.2, 0.1);
     {
         ServingReport &r = epochs[1].result.report;
         r.framesIn = 2;
@@ -436,6 +443,13 @@ TEST(EpochMerge, HandComputedArithmetic)
     EXPECT_EQ(rep.backends[0].backend, "hgpcn");
     EXPECT_EQ(rep.backends[0].shards, 2u);
     EXPECT_EQ(rep.backends[0].framesDone, 4u);
+    // Its rates use the one offered-rate definition, the stamp span
+    // of the frames dispatched to it (globals 0-3, the shed frame 4
+    // never was): offered (4-1)/(1.15-0.1), sustained 4 completions
+    // over first dispatch 0.1 -> last delivery 1.5.
+    EXPECT_EQ(rep.backends[0].framesIn, 4u);
+    EXPECT_NEAR(rep.backends[0].offeredFps, 3.0 / 1.05, 1e-12);
+    EXPECT_NEAR(rep.backends[0].sustainedFps, 4.0 / 1.4, 1e-12);
 }
 
 // -------------------------------------------------------- TrafficGen

@@ -437,6 +437,43 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------- traffic / elastic serving
 
+/** Conservation is structural: each of the @p offered frames has
+ * exactly one ledger row, and the report's per-outcome counts are
+ * the ledger's. */
+void
+expectLedgerConserves(const ServingResult &result, std::size_t offered)
+{
+    std::vector<std::size_t> rows_of(offered, 0);
+    std::size_t count[5] = {};
+    std::size_t retried = 0;
+    std::size_t degraded = 0;
+    for (const FrameRecord &row : result.ledger) {
+        ASSERT_LT(row.index, offered);
+        rows_of[row.index]++;
+        count[static_cast<std::size_t>(row.outcome)]++;
+        if (row.outcome == FrameOutcome::Processed) {
+            retried += row.attempts > 1;
+            degraded += row.degraded;
+        }
+    }
+    for (std::size_t i = 0; i < offered; ++i)
+        EXPECT_EQ(rows_of[i], 1u) << "frame " << i;
+    const ServingReport &rep = result.report;
+    EXPECT_EQ(rep.framesProcessed,
+              count[static_cast<std::size_t>(FrameOutcome::Processed)]);
+    EXPECT_EQ(rep.framesDropped,
+              count[static_cast<std::size_t>(FrameOutcome::Dropped)]);
+    EXPECT_EQ(rep.framesAbandoned,
+              count[static_cast<std::size_t>(FrameOutcome::Abandoned)]);
+    EXPECT_EQ(rep.framesShed,
+              count[static_cast<std::size_t>(FrameOutcome::Shed)]);
+    EXPECT_EQ(rep.framesFailed,
+              count[static_cast<std::size_t>(FrameOutcome::Failed)]);
+    EXPECT_EQ(rep.framesRetried, retried);
+    EXPECT_EQ(rep.framesDegraded, degraded);
+    EXPECT_EQ(result.frames.size(), rep.framesProcessed);
+}
+
 /** (seed, burstFactor, diurnalAmplitude, churn on/off) grid. */
 class TrafficSweep
     : public ::testing::TestWithParam<
@@ -575,6 +612,7 @@ TEST_P(TrafficSweep, ElasticServeConservesEveryFrame)
     }
     EXPECT_EQ(log_shed, rep.framesShed);
     EXPECT_EQ(log_offered, rep.framesIn);
+    expectLedgerConserves(result.serving, trace.stream.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -824,6 +862,8 @@ TEST_P(FaultSweep, ConservationHoldsAtEveryGridPoint)
     for (const BackendServingReport &br : rep.backends)
         backend_failed += br.framesFailed;
     EXPECT_EQ(backend_failed, rep.framesFailed);
+
+    expectLedgerConserves(result, 24);
 
     if (rate == 0.0) {
         // The only fault source left is the crash window; no

@@ -393,6 +393,16 @@ TEST(StreamRunner, StopFromFirstHookAbandonsTheRest)
         EXPECT_EQ(rt.report.framesAbandoned, frames.size() - 1);
         ASSERT_EQ(rt.frames.size(), 1u);
         EXPECT_EQ(rt.frames[0].index, 0u);
+        // The ledger: one row per input frame, in stream order.
+        ASSERT_EQ(rt.ledger.size(), frames.size());
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            EXPECT_EQ(rt.ledger[i].index, i);
+            EXPECT_EQ(rt.ledger[i].outcome,
+                      i == 0 ? FrameOutcome::Processed
+                             : FrameOutcome::Abandoned);
+        }
+        EXPECT_EQ(rt.ledger[0].doneSec, rt.frames[0].doneSec);
+        EXPECT_EQ(rt.ledger[0].latencySec, rt.frames[0].latencySec);
     }
 }
 

@@ -425,6 +425,11 @@ TEST(ShardedRunner, ReportMergeArithmetic)
             pf.latencySec = lat[i];
             pf.doneSec = done[i];
             oc.result.frames.push_back(std::move(pf));
+            FrameRecord row;
+            row.index = i;
+            row.latencySec = lat[i];
+            row.doneSec = done[i];
+            oc.result.ledger.push_back(row);
         }
     };
     // Shard 0 serves sensor 0 (globals 0,2), clock anchored at 0.0;
