@@ -1,18 +1,17 @@
 /**
  * @file
  * Temporal-coherence preprocessing: incremental vs from-scratch
- * index construction on a drive trace (docs/PERFORMANCE.md).
+ * octree construction on a drive trace (docs/PERFORMANCE.md).
  *
  * Consecutive LiDAR frames share most of their points, and the
  * cross-frame cache (core/temporal_preprocess.h) exploits that:
- * the Morton octree is diffed and re-erected only where dirty, the
- * spatial-hash KNN buckets and the VoxelGrid occupancy list are
- * patched instead of rebuilt. This bench drives both arms over the
- * same seeded CoherentDrive trace (closed-form ~99% frame overlap):
+ * the Morton octree is diffed and re-erected only where dirty.
+ * This bench drives both arms over the same seeded CoherentDrive
+ * trace (closed-form ~99% frame overlap):
  *
  *   scratch      TemporalPreprocessState{temporalCache=false} —
- *                every frame builds octree + KNN + occupancy from
- *                scratch (pooled storage, the pre-cache behavior);
+ *                every frame builds its octree from scratch
+ *                (pooled storage, the pre-cache behavior);
  *   incremental  TemporalPreprocessState{temporalCache=true} —
  *                frames update against the carried previous frame.
  *
@@ -29,7 +28,7 @@
  * machines; wall-clock numbers are printed, not stored.
  * `--assert-coherence-speedup <x>` exits nonzero unless the
  * steady-state build-stage speedup reaches `x` (CI holds 2.0x
- * against a measured ~2.5-3x) and every frame matched the oracle.
+ * against a measured ~2.6-2.7x) and every frame matched the oracle.
  * Positionals: [frames] [points].
  */
 
@@ -88,8 +87,8 @@ run(std::size_t frames, std::size_t points,
 {
     bench::banner(
         "PREPROCESSING: TEMPORAL COHERENCE",
-        "incremental octree + cached KNN/occupancy vs from-scratch "
-        "on a ~99%-overlap drive trace (docs/PERFORMANCE.md)");
+        "incremental vs from-scratch octree build on a "
+        "~99%-overlap drive trace (docs/PERFORMANCE.md)");
 
     const std::size_t warmup = std::min<std::size_t>(8, frames / 2);
     const std::size_t k = std::min<std::size_t>(1024, points / 2);
@@ -187,7 +186,7 @@ run(std::size_t frames, std::size_t points,
     std::printf("%-28s %12s %12s %9s\n", "stage", "scratch",
                 "incremental", "speedup");
     std::printf("%-28s %10.3f ms %10.3f ms %8.2fx\n",
-                "index build (octree+KNN+occ)",
+                "octree build",
                 1e3 * scratch_build / steady,
                 1e3 * inc_build / steady, build_speedup);
     std::printf("%-28s %10.3f ms %10.3f ms %8.2fx\n",
@@ -226,12 +225,6 @@ run(std::size_t frames, std::size_t points,
                 100.0 * static_cast<double>(st.nodesReused) /
                     static_cast<double>(st.nodesReused +
                                         st.nodesErected));
-    std::printf("KNN     %llu incremental / %llu scratch;  "
-                "occupancy %llu incremental / %llu scratch\n",
-                static_cast<unsigned long long>(st.knnIncremental),
-                static_cast<unsigned long long>(st.knnScratch),
-                static_cast<unsigned long long>(st.occIncremental),
-                static_cast<unsigned long long>(st.occScratch));
 
     bench::section("fidelity");
     std::printf("sampled outputs, SPT, Octree-Table bytes: %s\n",
@@ -269,10 +262,6 @@ run(std::size_t frames, std::size_t points,
             .field("evictedPoints", st.evictedPoints)
             .field("nodesReused", st.nodesReused)
             .field("nodesErected", st.nodesErected)
-            .field("knnIncremental", st.knnIncremental)
-            .field("knnScratch", st.knnScratch)
-            .field("occIncremental", st.occIncremental)
-            .field("occScratch", st.occScratch)
             .close();
         json.close();
         json.writeTo(json_path);

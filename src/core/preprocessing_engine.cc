@@ -49,16 +49,6 @@ PreprocessingEngine::buildStage(const PointCloud &raw,
             carry->processFrame(raw, carry_key);
         result.tree =
             std::shared_ptr<Octree>(bundle, &bundle->tree);
-        if (bundle->rawKnnBuilt) {
-            result.rawKnn = std::shared_ptr<const SpatialHashKnn>(
-                bundle, &bundle->rawKnn);
-        }
-        if (bundle->rawOccLevel >= 0) {
-            result.rawOcc =
-                std::shared_ptr<const std::vector<OccupiedCell>>(
-                    bundle, &bundle->rawOcc);
-            result.rawOccLevel = bundle->rawOccLevel;
-        }
     } else {
         // Lease under the pool mutex, build outside it: concurrent
         // callers rebuild their own bundles in parallel.

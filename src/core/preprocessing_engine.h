@@ -20,10 +20,8 @@
 #include <cstdint>
 #include <memory>
 
-#include "knn/spatial_hash_knn.h"
 #include "octree/octree.h"
 #include "octree/octree_table.h"
-#include "octree/voxel_grid.h"
 #include "sampling/ois_fps_sampler.h"
 #include "sim/device_model.h"
 #include "sim/down_sampling_unit.h"
@@ -45,16 +43,6 @@ struct PreprocessResult
      * returns to its pool when the last holder lets go; holding the
      * result keeps the tree intact across later builds. */
     std::shared_ptr<Octree> tree;
-
-    /** Cached raw-cloud KNN buckets over tree->reorderedCloud()
-     * (null unless a carry with cacheIndices produced the frame). */
-    std::shared_ptr<const SpatialHashKnn> rawKnn;
-
-    /** Cached occupancy list at rawOccLevel (null when absent). */
-    std::shared_ptr<const std::vector<OccupiedCell>> rawOcc;
-
-    /** Octree level of rawOcc (-1 when absent). */
-    int rawOccLevel = -1;
 
     /** The K sampled points (coordinates+features), in pick order. */
     PointCloud sampled;
@@ -125,11 +113,10 @@ class PreprocessingEngine
      * distinct bundles).
      *
      * @param carry Optional cross-frame cache
-     *   (core/temporal_preprocess.h): the octree and raw-cloud
-     *   indices come from the carry's pooled bundles, rebuilt
-     *   incrementally when frames cohere. Output is bit-identical
-     *   to the carry-less path; its octree config must match this
-     *   engine's.
+     *   (core/temporal_preprocess.h): the octree comes from the
+     *   carry's pooled bundles, rebuilt incrementally when frames
+     *   cohere. Output is bit-identical to the carry-less path;
+     *   its octree config must match this engine's.
      * @param carry_key The frame's sensor id: the carry diffs the
      *   frame against the last frame built under the same key. The
      *   default (TemporalPreprocessState::kDefaultKey) is the one

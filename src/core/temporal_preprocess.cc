@@ -19,11 +19,6 @@ struct FrameAttribution
     std::uint64_t retained = 0;
     std::uint64_t inserted = 0;
     std::uint64_t evicted = 0;
-    bool knnIncremental = false;
-    bool occIncremental = false;
-    bool indicesCached = false;
-    CellWork knnCells;
-    CellWork occCells;
 };
 
 /** Mirror one frame's outcome into "temporal.*" counters. */
@@ -40,20 +35,6 @@ recordMetrics(MetricsRegistry &reg, const FrameAttribution &fa)
         reg.counter("temporal.points.retained").add(fa.retained);
         reg.counter("temporal.points.inserted").add(fa.inserted);
         reg.counter("temporal.points.evicted").add(fa.evicted);
-    }
-    if (fa.indicesCached) {
-        reg.counter(fa.knnIncremental ? "temporal.knn.incremental"
-                                      : "temporal.knn.scratch")
-            .add();
-        reg.counter(fa.occIncremental ? "temporal.occ.incremental"
-                                      : "temporal.occ.scratch")
-            .add();
-        reg.counter("temporal.knn.cells_reused").add(fa.knnCells.reused);
-        reg.counter("temporal.knn.cells_rebuilt")
-            .add(fa.knnCells.rebuilt);
-        reg.counter("temporal.occ.cells_reused").add(fa.occCells.reused);
-        reg.counter("temporal.occ.cells_rebuilt")
-            .add(fa.occCells.rebuilt);
     }
 }
 
@@ -79,10 +60,6 @@ recordTrace(std::uint64_t frame_no, std::int64_t shard,
                     : 0.0;
     tracer.counter(TraceClock::Wall, now, "subtree-reuse-pct", track,
                    reuse_pct);
-    if (fa.indicesCached) {
-        tracer.counter(TraceClock::Wall, now, "knn-cache-hit", track,
-                       fa.knnIncremental ? 1.0 : 0.0);
-    }
     TraceIds ids;
     ids.frame = static_cast<std::int64_t>(frame_no);
     ids.shard = shard;
@@ -181,51 +158,6 @@ TemporalPreprocessState::processFrame(const PointCloud &raw,
         st.nodesErected += fa.nodesErected;
     } else {
         ++st.octreeMisses;
-    }
-
-    if (cfg.cacheIndices) {
-        const Octree &tree = bundle->tree;
-        std::span<const Vec3> positions =
-            tree.reorderedCloud().positions();
-
-        bool knn_incremental = false;
-        if (incremental && prev != nullptr && prev->rawKnnBuilt) {
-            knn_incremental = bundle->rawKnn.rebuildFrom(
-                prev->rawKnn, positions, builder.delta(),
-                &fa.knnCells);
-        }
-        if (!knn_incremental) {
-            bundle->rawKnn.rebuild(positions, cfg.knn);
-            fa.knnCells = {0, bundle->rawKnn.nonEmptyCells()};
-        }
-        bundle->rawKnnBuilt = true;
-        ++(knn_incremental ? st.knnIncremental : st.knnScratch);
-        st.knnCellsReused += fa.knnCells.reused;
-        st.knnCellsRebuilt += fa.knnCells.rebuilt;
-
-        const int level =
-            VoxelGrid::autoLevel(positions.size(), tree.depth());
-        bool occ_incremental = false;
-        if (incremental && prev != nullptr &&
-            prev->rawOccLevel == level) {
-            occ_incremental = patchOccupiedCells(
-                tree, level, prev->tree, prev->rawOcc,
-                builder.delta(), bundle->rawOcc, &fa.occCells);
-        }
-        if (!occ_incremental) {
-            buildOccupiedCells(tree, level, bundle->rawOcc);
-            fa.occCells = {0, bundle->rawOcc.size()};
-        }
-        bundle->rawOccLevel = level;
-        ++(occ_incremental ? st.occIncremental : st.occScratch);
-        st.occCellsReused += fa.occCells.reused;
-        st.occCellsRebuilt += fa.occCells.rebuilt;
-        fa.indicesCached = true;
-        fa.knnIncremental = knn_incremental;
-        fa.occIncremental = occ_incremental;
-    } else {
-        bundle->rawKnnBuilt = false;
-        bundle->rawOccLevel = -1;
     }
 
     if (metrics != nullptr)

@@ -2,22 +2,17 @@
  * @file
  * Cross-frame preprocessing cache (temporal coherence).
  *
- * Consecutive frames of a drive share most of their points, so the
- * per-frame preprocessing indices — the Morton octree, the
- * spatial-hash KNN buckets over the reordered cloud and the
- * VoxelGrid occupancy list — are mostly identical from frame to
+ * Consecutive frames of a drive share most of their points, so
+ * their Morton octrees — the only preprocessing index the pipeline
+ * reads (OIS descends it; VEG builds its own occupancy over each SA
+ * level's sampled cloud) — are mostly identical from frame to
  * frame. TemporalPreprocessState carries the previous frame's
- * indices and rebuilds the next frame's incrementally:
+ * octree and builds the next one incrementally via
+ * IncrementalOctreeBuilder (code-array diff + dirty-subtree
+ * re-erection, octree/incremental_octree.h).
  *
- *  - the octree via IncrementalOctreeBuilder (code-array diff +
- *    dirty-subtree re-erection, octree/incremental_octree.h);
- *  - the KNN buckets via SpatialHashKnn::rebuildFrom (dirty cells
- *    re-bucketed, clean cells remapped);
- *  - the occupancy list via patchOccupiedCells (clean entries
- *    remapped, dirty cells re-read from the new tree).
- *
- * All three are bit-identical to their from-scratch builds — the
- * scratch path stays in the tree as the oracle and every cache
+ * The incremental tree is bit-identical to Octree::build — the
+ * scratch path stays in the tree as the oracle and the builder
  * falls back to it when its preconditions fail — so enabling the
  * cache changes host wall-clock only; sampled outputs and modeled
  * paper numbers are unchanged by construction.
@@ -31,8 +26,8 @@
  * lives until reset(), so memory grows with the number of distinct
  * sensors a state has seen, not with stream length.
  *
- * Storage is pooled: frames lease a PreprocessBundle (octree +
- * indices) from a BundlePool, whose backing vectors are reused once
+ * Storage is pooled: frames lease a PreprocessBundle (the octree)
+ * from a BundlePool, whose backing vectors are reused once
  * every in-flight frame has a warmed bundle, keeping the steady
  * state free of arena-backing allocation (growth counted via
  * FrameWorkspace::noteGrowth, pinned by tests/test_runtime.cc). The
@@ -51,28 +46,19 @@
 #include <mutex>
 #include <vector>
 
-#include "knn/spatial_hash_knn.h"
 #include "octree/incremental_octree.h"
 #include "octree/octree.h"
-#include "octree/voxel_grid.h"
 
 namespace hgpcn
 {
 
 class MetricsRegistry;
 
-/**
- * One frame's preprocessing indices, leased from the state's pool.
- * The octree is always valid after processFrame(); the raw-cloud
- * KNN index and occupancy list only when cacheIndices is on.
- */
+/** One frame's octree, leased from the state's pool; valid after
+ * processFrame(). */
 struct PreprocessBundle
 {
     Octree tree;
-    SpatialHashKnn rawKnn;     //!< over tree.reorderedCloud()
-    bool rawKnnBuilt = false;
-    std::vector<OccupiedCell> rawOcc; //!< occupancy at rawOccLevel
-    int rawOccLevel = -1;      //!< -1 = not built
 };
 
 /**
@@ -111,11 +97,6 @@ class TemporalPreprocessState
         /** Master switch: diff frames and update incrementally.
          * Off = every frame builds from scratch (still pooled). */
         bool temporalCache = true;
-        /** Maintain the raw-cloud KNN buckets and occupancy list
-         * across frames alongside the octree. */
-        bool cacheIndices = true;
-        /** KNN index parameters for the cached buckets. */
-        SpatialHashKnn::Config knn;
     };
 
     /** Cumulative cache telemetry (monotone counters). */
@@ -129,16 +110,11 @@ class TemporalPreprocessState
         std::uint64_t evictedPoints = 0;
         std::uint64_t nodesReused = 0;
         std::uint64_t nodesErected = 0;
+        // Always 0: the carry maintains no KNN index. Kept only
+        // because e2ebench reads them, until its next benchmark
+        // change.
         std::uint64_t knnIncremental = 0;
         std::uint64_t knnScratch = 0;
-        std::uint64_t occIncremental = 0;
-        std::uint64_t occScratch = 0;
-        // Work saved, in cells (geometry/point_delta.h CellWork): a
-        // scratch index build counts every non-empty cell rebuilt.
-        std::uint64_t knnCellsReused = 0;
-        std::uint64_t knnCellsRebuilt = 0;
-        std::uint64_t occCellsReused = 0;
-        std::uint64_t occCellsRebuilt = 0;
     };
 
     /** Key of a stream without sensor ids: one carried slot. */
@@ -164,8 +140,8 @@ class TemporalPreprocessState
      * Attach an observability sink: every processFrame() mirrors its
      * cache telemetry into "temporal.*" counters of @p metrics and —
      * when the global Tracer is recording — emits per-frame
-     * subtree-reuse % and KNN-hit counter samples on the wall clock,
-     * tagged with @p shard. Pass nullptr to detach. Call while no
+     * subtree-reuse % samples on the wall clock, tagged with
+     * @p shard. Pass nullptr to detach. Call while no
      * frames are in flight.
      */
     void setObservability(MetricsRegistry *metrics,

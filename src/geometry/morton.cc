@@ -98,13 +98,16 @@ cellOf(const Vec3 &p, const Aabb &root, int depth, CellCoord &x,
     const Vec3 e = root.extent();
     auto axis = [cells](float v, float lo, float len) -> CellCoord {
         float t = len > 0.0f ? (v - lo) / len : 0.0f;
-        if (t < 0.0f)
+        // Clamp before the cast: a NaN (which fails every
+        // comparison) or out-of-range float has no defined integer
+        // conversion. t == 1 lands on the last cell below.
+        if (!(t > 0.0f))
             t = 0.0f;
+        else if (t > 1.0f)
+            t = 1.0f;
         auto c = static_cast<std::int64_t>(t * static_cast<float>(cells));
         if (c >= static_cast<std::int64_t>(cells))
             c = cells - 1;
-        if (c < 0)
-            c = 0;
         return static_cast<CellCoord>(c);
     };
     x = axis(p.x, root.lo.x, e.x);

@@ -7,9 +7,8 @@
  * m-code array against the previous one and describes the outcome as
  * a PointDelta: which old reordered slots survived (and where they
  * landed), which were evicted, and which new slots are fresh
- * insertions. Downstream caches — the spatial-hash KNN buckets
- * (src/knn) and the VoxelGrid occupancy list (src/octree) — consume
- * the same delta to rebuild only their dirty cells.
+ * insertions. The builder then re-erects only the subtrees whose
+ * point ranges are dirty (rangeDirty) and block-copies the rest.
  *
  * Invariants (established by the producer, relied on by consumers):
  *  - newFromOld is monotone over retained slots: old SFC order is a
@@ -73,18 +72,6 @@ struct PointDelta
                                          insertedNew.end(), first);
         return it != insertedNew.end() && *it < last;
     }
-};
-
-/**
- * Work split of one delta-driven index patch, in cells: entries a
- * consumer carried over by remapping through the delta versus
- * entries it re-derived from the new frame. The temporal cache's
- * "work saved" metrics (core/temporal_preprocess.h) sum these.
- */
-struct CellWork
-{
-    std::uint64_t reused = 0;  //!< clean cells remapped
-    std::uint64_t rebuilt = 0; //!< dirty cells re-bucketed / re-read
 };
 
 } // namespace hgpcn

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
 #include "core/frame_workspace.h"
-#include "geometry/point_delta.h"
 #include "knn/top_k.h"
 
 namespace hgpcn
@@ -34,22 +32,8 @@ SpatialHashKnn::SpatialHashKnn(std::span<const Vec3> positions,
 
 SpatialHashKnn::SpatialHashKnn(std::span<const Vec3> positions,
                                const Config &config, FrameWorkspace *ws)
+    : pts(positions), cfg(config), workspace(ws)
 {
-    rebuild(positions, config, ws);
-}
-
-void
-SpatialHashKnn::rebuild(std::span<const Vec3> positions,
-                        const Config &config, FrameWorkspace *ws)
-{
-    pts = positions;
-    cfg = config;
-    workspace = ws;
-    grid_built = false;
-    origin = Vec3{};
-    cell = 0.0f;
-    nx = ny = nz = 1;
-
     HGPCN_ASSERT(!pts.empty(), "empty cloud");
     const std::size_t n = pts.size();
 
@@ -134,184 +118,6 @@ SpatialHashKnn::rebuild(std::span<const Vec3> positions,
     cs[0] = 0;
 
     grid_built = true;
-}
-
-bool
-SpatialHashKnn::rebuildFrom(const SpatialHashKnn &prev,
-                            std::span<const Vec3> positions,
-                            const PointDelta &delta, CellWork *work)
-{
-    // Incremental fill needs the previous bucket layout to be owned
-    // (workspace buffers are shared and may have been overwritten)
-    // and the grid path to have run on both sides.
-    if (prev.workspace != nullptr || !prev.grid_built)
-        return false;
-    const std::size_t n = positions.size();
-    const std::size_t n_old = prev.pts.size();
-    if (n == 0 || prev.own_cell_of.size() != n_old ||
-        delta.newFromOld.size() != n_old)
-        return false;
-    if (n <= prev.cfg.bruteThreshold)
-        return false;
-
-    // Derive the grid geometry exactly as rebuild() would and demand
-    // bit-identity with the previous frame's: only then does every
-    // retained point provably keep its cell id.
-    Vec3 lo = positions[0];
-    Vec3 hi = positions[0];
-    for (const Vec3 &p : positions) {
-        lo.x = std::min(lo.x, p.x);
-        lo.y = std::min(lo.y, p.y);
-        lo.z = std::min(lo.z, p.z);
-        hi.x = std::max(hi.x, p.x);
-        hi.y = std::max(hi.y, p.y);
-        hi.z = std::max(hi.z, p.z);
-    }
-    const Vec3 extent = hi - lo;
-    const float max_extent =
-        std::max(extent.x, std::max(extent.y, extent.z));
-    if (!(max_extent > 0.0f))
-        return false;
-
-    const double want_cells = static_cast<double>(n) /
-                              std::max(prev.cfg.targetOccupancy, 1e-6);
-    std::int32_t axis_cells =
-        static_cast<std::int32_t>(std::lround(std::cbrt(want_cells)));
-    axis_cells = std::clamp(axis_cells, std::int32_t{1},
-                            prev.cfg.maxCellsPerAxis);
-    const float new_cell =
-        max_extent / static_cast<float>(axis_cells);
-    const auto cells_for = [&](float e) {
-        const std::int32_t c = static_cast<std::int32_t>(
-            std::floor(e / new_cell)) + 1;
-        return std::clamp(c, std::int32_t{1}, axis_cells + 1);
-    };
-    if (std::memcmp(&lo.x, &prev.origin.x, sizeof(float)) != 0 ||
-        std::memcmp(&lo.y, &prev.origin.y, sizeof(float)) != 0 ||
-        std::memcmp(&lo.z, &prev.origin.z, sizeof(float)) != 0 ||
-        std::memcmp(&new_cell, &prev.cell, sizeof(float)) != 0 ||
-        cells_for(extent.x) != prev.nx ||
-        cells_for(extent.y) != prev.ny ||
-        cells_for(extent.z) != prev.nz)
-        return false;
-
-    pts = positions;
-    cfg = prev.cfg;
-    workspace = nullptr;
-    origin = prev.origin;
-    cell = prev.cell;
-    nx = prev.nx;
-    ny = prev.ny;
-    nz = prev.nz;
-    cell_start = &own_start;
-    order = &own_order;
-    cell_of = &own_cell_of;
-    scored_buf = &own_scored;
-
-    const std::size_t cells = static_cast<std::size_t>(nx) * ny * nz;
-    std::vector<std::uint32_t> &cs = own_start;
-    cs.resize(cells + 1);
-    own_order.resize(n);
-    own_cell_of.resize(n);
-    dirty_cells.assign(cells, 0);
-
-    // Bucket counts: previous counts adjusted by the delta.
-    cs[0] = 0;
-    for (std::size_t c = 0; c < cells; ++c)
-        cs[c + 1] = prev.own_start[c + 1] - prev.own_start[c];
-    for (const PointIndex e : delta.evictedOld) {
-        const std::uint32_t id = prev.own_cell_of[e];
-        --cs[id + 1];
-        dirty_cells[id] = 1;
-    }
-    cell_inserts.clear();
-    for (const PointIndex i : delta.insertedNew) {
-        const CellCoord c = cellOf(positions[i]);
-        const std::uint32_t id =
-            static_cast<std::uint32_t>(cellId(c.x, c.y, c.z));
-        ++cs[id + 1];
-        dirty_cells[id] = 1;
-        cell_inserts.emplace_back(id, i);
-    }
-    // insertedNew ascends, so sorting by cell keeps slots ascending
-    // within each cell — the stable counting-sort order.
-    std::sort(cell_inserts.begin(), cell_inserts.end());
-    for (std::size_t c = 0; c < cells; ++c)
-        cs[c + 1] += cs[c];
-    HGPCN_ASSERT(cs[cells] == n, "incremental bucket counts drifted");
-
-    // Fill buckets in ascending cell order. Clean cells remap their
-    // previous order through newFromOld (monotone, so the remapped
-    // run is already in ascending new-index order — exactly what the
-    // stable counting sort would emit). Dirty cells merge the
-    // remapped survivors with their sorted insertions.
-    std::size_t ins = 0;
-    CellWork done;
-    for (std::size_t id = 0; id < cells; ++id) {
-        std::uint32_t w = cs[id];
-        const std::uint32_t pf = prev.own_start[id];
-        const std::uint32_t pl = prev.own_start[id + 1];
-        if (!dirty_cells[id]) {
-            done.reused += pl > pf ? 1 : 0;
-            for (std::uint32_t s = pf; s < pl; ++s) {
-                const PointIndex np =
-                    delta.newFromOld[prev.own_order[s]];
-                own_order[w++] = np;
-                own_cell_of[np] =
-                    static_cast<std::uint32_t>(id);
-            }
-            continue;
-        }
-        ++done.rebuilt;
-        std::uint32_t s = pf;
-        PointIndex np = kNoPoint;
-        while (s < pl &&
-               (np = delta.newFromOld[prev.own_order[s]]) ==
-                   kNoPoint)
-            ++s;
-        while (s < pl || (ins < cell_inserts.size() &&
-                          cell_inserts[ins].first == id)) {
-            const bool take_ins =
-                s >= pl ||
-                (ins < cell_inserts.size() &&
-                 cell_inserts[ins].first == id &&
-                 cell_inserts[ins].second < np);
-            PointIndex take;
-            if (take_ins) {
-                take = cell_inserts[ins++].second;
-            } else {
-                take = np;
-                ++s;
-                while (s < pl &&
-                       (np = delta.newFromOld[prev.own_order[s]]) ==
-                           kNoPoint)
-                    ++s;
-            }
-            own_order[w++] = take;
-            own_cell_of[take] = static_cast<std::uint32_t>(id);
-        }
-        HGPCN_ASSERT(w == cs[id + 1],
-                     "incremental bucket fill drifted at cell ", id);
-    }
-    HGPCN_ASSERT(ins == cell_inserts.size(),
-                 "incremental fill dropped insertions");
-
-    grid_built = true;
-    if (work != nullptr)
-        *work = done;
-    return true;
-}
-
-std::size_t
-SpatialHashKnn::nonEmptyCells() const
-{
-    if (!grid_built)
-        return 0;
-    const std::vector<std::uint32_t> &cs = *cell_start;
-    std::size_t occupied = 0;
-    for (std::size_t c = 0; c + 1 < cs.size(); ++c)
-        occupied += cs[c + 1] > cs[c] ? 1 : 0;
-    return occupied;
 }
 
 SpatialHashKnn::CellCoord

@@ -42,8 +42,6 @@ namespace hgpcn
 {
 
 class FrameWorkspace;
-struct CellWork;
-struct PointDelta;
 
 /** Exact KNN over a uniform voxel-bucket grid. */
 class SpatialHashKnn
@@ -83,43 +81,6 @@ class SpatialHashKnn
 
     SpatialHashKnn(std::span<const Vec3> positions,
                    const Config &config, FrameWorkspace *ws = nullptr);
-
-    /** Empty index; call rebuild() before querying. Lets pooled
-     * owners (core/temporal_preprocess.h) hold the index by value
-     * and reuse its bucket storage across frames. */
-    SpatialHashKnn() = default;
-
-    /**
-     * (Re)build the index in place — identical result to
-     * constructing fresh, but owned storage keeps its capacity.
-     */
-    void rebuild(std::span<const Vec3> positions, const Config &config,
-                 FrameWorkspace *ws = nullptr);
-
-    /**
-     * Rebuild incrementally from @p prev using the cross-frame
-     * @p delta (geometry/point_delta.h): bucket counts are adjusted
-     * by the insert/evict lists and only dirty cells re-bucket;
-     * clean cells remap their previous order through the delta.
-     * Output is bit-identical to rebuild() over @p positions.
-     *
-     * Engages only when both indices own their storage (no
-     * workspace), the previous index ran the grid path, and the
-     * freshly derived grid geometry is bit-identical to @p prev's.
-     * @param work Optional out: non-empty clean cells remapped and
-     *        dirty cells re-bucketed (untouched when it returns
-     *        false).
-     * @return false when it could not engage — the index is then
-     * unchanged and the caller must rebuild() from scratch.
-     */
-    bool rebuildFrom(const SpatialHashKnn &prev,
-                     std::span<const Vec3> positions,
-                     const PointDelta &delta,
-                     CellWork *work = nullptr);
-
-    /** @return grid cells holding at least one point (0 on the
-     * brute fallback) — the work a scratch rebuild() bucketed. */
-    std::size_t nonEmptyCells() const;
 
     /**
      * K nearest indexed points of every query position, each
@@ -183,10 +144,6 @@ class SpatialHashKnn
 
     mutable std::vector<std::pair<float, PointIndex>> own_scored;
     std::vector<std::pair<float, PointIndex>> *scored_buf = nullptr;
-
-    /** rebuildFrom() scratch, reused across frames. */
-    std::vector<std::uint8_t> dirty_cells;
-    std::vector<std::pair<std::uint32_t, PointIndex>> cell_inserts;
 };
 
 } // namespace hgpcn

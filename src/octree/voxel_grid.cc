@@ -18,13 +18,6 @@ VoxelGrid::VoxelGrid(const Octree &tree, int level)
                  tree.config().maxDepth);
 }
 
-VoxelGrid::VoxelGrid(const Octree &tree, int level,
-                     const std::vector<OccupiedCell> *external)
-    : VoxelGrid(tree, level)
-{
-    ext_occ = external;
-}
-
 GridCell
 VoxelGrid::cellOf(const Vec3 &p) const
 {
@@ -147,8 +140,7 @@ cellLess(const GridCell &a, const GridCell &b)
     return a.z < b.z;
 }
 
-} // namespace
-
+/** The occupied cells of @p level over @p tree, into @p out. */
 void
 buildOccupiedCells(const Octree &tree, int level,
                    std::vector<OccupiedCell> &out)
@@ -189,93 +181,11 @@ buildOccupiedCells(const Octree &tree, int level,
               });
 }
 
-bool
-patchOccupiedCells(const Octree &new_tree, int level,
-                   const Octree &prev_tree,
-                   const std::vector<OccupiedCell> &prev_occ,
-                   const PointDelta &delta,
-                   std::vector<OccupiedCell> &out, CellWork *work)
-{
-    if (level < 1 ||
-        new_tree.config().maxDepth != prev_tree.config().maxDepth ||
-        level > new_tree.config().maxDepth)
-        return false;
-
-    const int shift = 3 * (new_tree.config().maxDepth - level);
-
-    // Dirty cells: level prefixes of every inserted (new codes) and
-    // evicted (old codes) point, sorted unique. Everything else kept
-    // its point set, so its entry survives with remapped ranges.
-    std::vector<morton::Code> dirty;
-    dirty.reserve(delta.insertedNew.size() + delta.evictedOld.size());
-    for (const PointIndex i : delta.insertedNew)
-        dirty.push_back(new_tree.pointCode(i) >> shift);
-    for (const PointIndex e : delta.evictedOld)
-        dirty.push_back(prev_tree.pointCode(e) >> shift);
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    const auto is_dirty = [&dirty](morton::Code prefix) {
-        return std::binary_search(dirty.begin(), dirty.end(), prefix);
-    };
-
-    // Dirty cells re-read from the new tree: two binary searches
-    // each; empty cells (all points evicted) drop out.
-    std::vector<OccupiedCell> patched;
-    patched.reserve(dirty.size());
-    for (const morton::Code prefix : dirty) {
-        const auto [first, last] = new_tree.voxelRange(prefix, level);
-        if (first == last)
-            continue;
-        morton::CellCoord x = 0, y = 0, z = 0;
-        morton::decode3(prefix, level, x, y, z);
-        patched.push_back({GridCell{static_cast<std::int32_t>(x),
-                                    static_cast<std::int32_t>(y),
-                                    static_cast<std::int32_t>(z)},
-                           first, last});
-    }
-    std::sort(patched.begin(), patched.end(),
-              [](const OccupiedCell &a, const OccupiedCell &b) {
-                  return cellLess(a.cell, b.cell);
-              });
-
-    // Merge clean entries (prev list order, already (x, y, z)
-    // sorted) with the patched ones. A clean cell saw no insert or
-    // evict, so its points map to one consecutive run of new slots:
-    // newFromOld of its first point starts the run.
-    out.clear();
-    out.reserve(prev_occ.size() + patched.size());
-    std::size_t p = 0;
-    for (const OccupiedCell &c : prev_occ) {
-        const morton::Code prefix = morton::encode3(
-            static_cast<morton::CellCoord>(c.cell.x),
-            static_cast<morton::CellCoord>(c.cell.y),
-            static_cast<morton::CellCoord>(c.cell.z), level);
-        if (is_dirty(prefix))
-            continue;
-        while (p < patched.size() &&
-               cellLess(patched[p].cell, c.cell))
-            out.push_back(patched[p++]);
-        const PointIndex first = delta.newFromOld[c.first];
-        HGPCN_ASSERT(first != kNoPoint,
-                     "clean cell lost its first point");
-        out.push_back(
-            {c.cell, first,
-             static_cast<PointIndex>(first + (c.last - c.first))});
-    }
-    while (p < patched.size())
-        out.push_back(patched[p++]);
-    if (work != nullptr) {
-        work->rebuilt = dirty.size();
-        work->reused = out.size() - patched.size();
-    }
-    return true;
-}
+} // namespace
 
 const std::vector<OccupiedCell> &
 VoxelGrid::occupiedCells() const
 {
-    if (ext_occ != nullptr)
-        return *ext_occ;
     if (occ_built)
         return occ;
     occ_built = true;

@@ -17,7 +17,6 @@
 #include <functional>
 #include <vector>
 
-#include "geometry/point_delta.h"
 #include "octree/octree.h"
 
 namespace hgpcn
@@ -56,16 +55,6 @@ class VoxelGrid
      * The Octree must outlive the view.
      */
     VoxelGrid(const Octree &tree, int level);
-
-    /**
-     * Create a view whose occupied-cell list is borrowed from
-     * @p external (must equal what buildOccupiedCells() would
-     * produce for this tree/level, and must outlive the view).
-     * The temporal-coherence cache path: the list is maintained
-     * incrementally across frames instead of rebuilt per view.
-     */
-    VoxelGrid(const Octree &tree, int level,
-              const std::vector<OccupiedCell> *external);
 
     /** @return level viewed. */
     int level() const { return lvl; }
@@ -148,42 +137,11 @@ class VoxelGrid
     const Octree &octree;
     int lvl;
     std::int32_t axis_cells;
-    /** Borrowed occupied-cell list (nullptr = build occ lazily). */
-    const std::vector<OccupiedCell> *ext_occ = nullptr;
     /** Lazy occupied-cell list (single-threaded use, like the
      * gatherers that own grid views). */
     mutable std::vector<OccupiedCell> occ;
     mutable bool occ_built = false;
 };
-
-/**
- * Compute the occupied cells of @p level over @p tree into @p out —
- * the list occupiedCells() builds lazily, as a free function so
- * cross-frame caches can own the storage. @p out keeps capacity.
- */
-void buildOccupiedCells(const Octree &tree, int level,
-                        std::vector<OccupiedCell> &out);
-
-/**
- * Incrementally produce the occupied-cell list of @p new_tree at
- * @p level by patching @p prev_occ (the previous frame's list at the
- * same level over @p prev_tree) with the cross-frame @p delta:
- * clean cells keep their entry with point ranges remapped through
- * the delta; cells touched by an insertion or eviction are re-read
- * from the new tree (two binary searches each). Output is
- * bit-identical to buildOccupiedCells() on @p new_tree.
- *
- * @param work Optional out: clean entries kept and dirty cells
- *        re-read (untouched when patching cannot engage).
- * @return false when patching cannot engage (level 0, or the trees'
- * depths differ); @p out is then untouched.
- */
-bool patchOccupiedCells(const Octree &new_tree, int level,
-                        const Octree &prev_tree,
-                        const std::vector<OccupiedCell> &prev_occ,
-                        const PointDelta &delta,
-                        std::vector<OccupiedCell> &out,
-                        CellWork *work = nullptr);
 
 } // namespace hgpcn
 

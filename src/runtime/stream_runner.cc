@@ -257,18 +257,9 @@ RuntimeReport::toString() const
             << st.peakQueueDepth << "\n";
     }
     // Absent without a temporal carry, keeping legacy output exact.
-    if (temporalSubtreeReusePct >= 0.0 || temporalKnnHitPct >= 0.0) {
-        oss << "temporal: subtree reuse ";
-        if (temporalSubtreeReusePct >= 0.0)
-            oss << temporalSubtreeReusePct << "%";
-        else
-            oss << "n/a";
-        oss << " | knn cache ";
-        if (temporalKnnHitPct >= 0.0)
-            oss << temporalKnnHitPct << "%";
-        else
-            oss << "n/a";
-        oss << "\n";
+    if (temporalSubtreeReusePct >= 0.0) {
+        oss << "temporal: subtree reuse " << temporalSubtreeReusePct
+            << "%\n";
     }
     return oss.str();
 }
@@ -618,15 +609,6 @@ StreamRunner::run(const std::vector<Frame> &frames,
         rep.temporalSubtreeReusePct =
             100.0 * static_cast<double>(reused) /
             static_cast<double>(reused + erected);
-    }
-    const std::uint64_t knn_reused =
-        out.metrics.countOf("temporal.knn.cells_reused");
-    const std::uint64_t knn_rebuilt =
-        out.metrics.countOf("temporal.knn.cells_rebuilt");
-    if (knn_reused + knn_rebuilt > 0) {
-        rep.temporalKnnHitPct =
-            100.0 * static_cast<double>(knn_reused) /
-            static_cast<double>(knn_reused + knn_rebuilt);
     }
     return out;
 }

@@ -132,12 +132,10 @@ struct RuntimeReport
     std::vector<TimelineStageStats> stages;
 
     // Temporal-cache attribution, read back from the run's metrics
-    // registry ("temporal.*" counters). -1 = not applicable (cache
-    // off or no frames); percentages in [0, 100] otherwise. Both
-    // count work saved: octree nodes reused, and KNN bucket cells
-    // remapped rather than re-bucketed.
+    // registry ("temporal.*" counters): the share of octree nodes
+    // reused rather than re-erected. -1 = not applicable (cache off
+    // or no carried frames); a percentage in [0, 100] otherwise.
     double temporalSubtreeReusePct = -1;
-    double temporalKnnHitPct = -1;
 
     // Batch-occupancy attribution of the inference stage, from the
     // virtual schedule. Defaults (and an absent toString() line)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -229,27 +228,18 @@ ElasticRunner::backendNameFor(std::size_t s) const
 double
 ElasticRunner::capacityFps() const
 {
-    const std::size_t active = runner.shardCount();
+    // One division under the override, not a sum of reciprocals:
+    // the two round differently, and the epoch logs print this.
     if (cfg.fleet.assumedServiceSec > 0.0)
-        return static_cast<double>(active) /
+        return static_cast<double>(runner.shardCount()) /
                cfg.fleet.assumedServiceSec;
-    // Same-named backends estimate identically (identical engine
-    // config + spec): probe once per distinct name.
-    std::map<std::string, double> estimate_of;
+    const std::vector<double> service_sec = runner.serviceEstimates();
     double fps = 0.0;
-    for (std::size_t s = 0; s < active; ++s) {
-        const ExecutionBackend &backend = runner.shardBackend(s);
-        auto it = estimate_of.find(backend.name());
-        if (it == estimate_of.end()) {
-            it = estimate_of
-                     .emplace(backend.name(),
-                              backend.estimateServiceSec())
-                     .first;
-        }
-        HGPCN_ASSERT(it->second > 0.0,
-                     "backend ", backend.name(),
+    for (std::size_t s = 0; s < service_sec.size(); ++s) {
+        HGPCN_ASSERT(service_sec[s] > 0.0, "backend ",
+                     runner.shardBackend(s).name(),
                      " service-time estimate must be positive");
-        fps += 1.0 / it->second;
+        fps += 1.0 / service_sec[s];
     }
     return fps;
 }

@@ -177,6 +177,15 @@ class ShardedRunner
     /** @return shard @p shard's execution backend. */
     const ExecutionBackend &shardBackend(std::size_t shard) const;
 
+    /**
+     * @return one modeled service time per active shard: the
+     * Config::assumedServiceSec override when set (> 0), else the
+     * shard backend's estimateServiceSec(). Same-named backends
+     * estimate identically (same engine config and spec), so each
+     * distinct name is probed once.
+     */
+    std::vector<double> serviceEstimates() const;
+
     /** Forget all circuit-breaker history: the next serve starts
      * with pristine Closed breakers. Must not race a serve. */
     void resetHealth();

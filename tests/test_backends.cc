@@ -457,5 +457,29 @@ TEST(ShardedRunner, LeastLoadedDerivesServiceFromBackendEstimates)
         << "service-aware JSQ must favor the faster backend";
 }
 
+TEST(ShardedRunner, ServiceEstimatesArePerShardUnlessOverridden)
+{
+    // One estimate per shard, each its own backend's cost-model
+    // probe (a repeated name included); the override replaces all.
+    HgPcnSystem::Config cfg;
+    ShardedRunner::Config sc;
+    sc.shards = 4;
+    sc.backends = {"hgpcn", "mesorasi", "hgpcn", "cpu-brute"};
+    const ShardedRunner runner(cfg, tinyClassifier(), sc);
+    const std::vector<double> est = runner.serviceEstimates();
+    ASSERT_EQ(est.size(), runner.shardCount());
+    for (std::size_t s = 0; s < est.size(); ++s) {
+        EXPECT_EQ(est[s], runner.shardBackend(s).estimateServiceSec())
+            << "shard " << s;
+        EXPECT_GT(est[s], 0.0) << "shard " << s;
+    }
+    EXPECT_NE(est[0], est[3]) << "a mixed fleet must not collapse";
+
+    sc.assumedServiceSec = 0.25;
+    const ShardedRunner assumed(cfg, tinyClassifier(), sc);
+    EXPECT_EQ(assumed.serviceEstimates(),
+              std::vector<double>(4, 0.25));
+}
+
 } // namespace
 } // namespace hgpcn

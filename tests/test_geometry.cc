@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "geometry/aabb.h"
 #include "geometry/morton.h"
@@ -219,6 +221,26 @@ TEST(Morton, CellOfClampsToGrid)
     EXPECT_EQ(z, 7u);
     morton::cellOf({0.0f, 0.0f, 0.0f}, root, 3, x, y, z);
     EXPECT_EQ(x, 0u);
+}
+
+TEST(Morton, CellOfMapsNonFiniteCoordinatesIntoGrid)
+{
+    // NaN and out-of-range coordinates clamp before the float-to-int
+    // cast (which would otherwise be undefined): NaN and -Inf to the
+    // first cell, +Inf and huge finite values to the last.
+    const Aabb root({0, 0, 0}, {1, 1, 1});
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    std::uint32_t x, y, z;
+    morton::cellOf({nan, inf, -inf}, root, 3, x, y, z);
+    EXPECT_EQ(x, 0u);
+    EXPECT_EQ(y, 7u);
+    EXPECT_EQ(z, 0u);
+    morton::cellOf({-inf, nan, 1e30f}, root, 21, x, y, z);
+    EXPECT_EQ(x, 0u);
+    EXPECT_EQ(y, 0u);
+    EXPECT_EQ(z, (1u << 21) - 1);
+    EXPECT_EQ(morton::pointCode3({nan, nan, nan}, root, 3), 0u);
 }
 
 TEST(Morton, PointCodeConsistentWithCellOf)

@@ -327,6 +327,19 @@ TEST(StreamRunner, BatchModeVerdictIsNotApplicable)
     EXPECT_EQ(text.find("real-time: YES"), std::string::npos);
 }
 
+TEST(RuntimeReport, TemporalLineReportsSubtreeReuse)
+{
+    // The line appears only once a carried frame reused or erected
+    // octree nodes, and reports that share alone.
+    RuntimeReport rep;
+    EXPECT_EQ(rep.toString().find("temporal:"), std::string::npos);
+    rep.temporalSubtreeReusePct = 12.5;
+    const std::string text = rep.toString();
+    const std::size_t at = text.find("temporal: subtree reuse 12.5");
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(text.find('|', at), std::string::npos) << text;
+}
+
 StreamRunner::Config
 runnerConfig(const HgPcnSystem &system, std::size_t max_batch = 1)
 {

@@ -2,16 +2,15 @@
  * @file
  * Temporal-coherence preprocessing tests: the bottom-up Morton
  * octree builder against the recursive oracle, the incremental
- * cross-frame builder against from-scratch builds, the cached KNN /
- * occupancy indices against fresh oracles, and the pooled
+ * cross-frame builder against from-scratch builds, and the pooled
  * TemporalPreprocessState against the carry-less engine path. Every
- * comparison is bit-identical full-state equality — the caches are
- * wall-clock optimizations and must never move an output bit.
+ * comparison is bit-identical full-state equality — the carry is a
+ * wall-clock optimization and must never move an output bit.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <utility>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -22,10 +21,8 @@
 #include "core/temporal_preprocess.h"
 #include "datasets/coherent_drive.h"
 #include "geometry/point_delta.h"
-#include "knn/spatial_hash_knn.h"
 #include "octree/incremental_octree.h"
 #include "octree/octree.h"
-#include "octree/voxel_grid.h"
 
 namespace hgpcn
 {
@@ -260,104 +257,6 @@ TEST(IncrementalOctree, ConfigChangeFallsBackToScratch)
                          Octree::build(cloud, octreeConfig(6, 8)));
 }
 
-// ----------------------------------------- cached KNN / occupancy
-
-void
-expectGatherIdentical(const GatherResult &a, const GatherResult &b)
-{
-    ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
-    EXPECT_EQ(a.neighbors, b.neighbors);
-}
-
-TEST(CachedIndices, IncrementalKnnMatchesFreshOracle)
-{
-    CoherentDrive::Config dc;
-    dc.points = 2000;
-    dc.churnFraction = 0.05;
-    dc.seed = 31;
-    const CoherentDrive drive(dc);
-    const Octree::Config ocfg = octreeConfig(10, 8);
-    const SpatialHashKnn::Config kcfg;
-
-    Octree prev;
-    prev.rebuild(drive.generate(0).cloud, ocfg);
-    SpatialHashKnn prev_knn;
-    prev_knn.rebuild(prev.reorderedCloud().positions(), kcfg);
-
-    IncrementalOctreeBuilder builder;
-    const Frame f1 = drive.generate(1);
-    Octree next;
-    ASSERT_TRUE(builder.update(f1.cloud, &prev, ocfg, next));
-
-    SpatialHashKnn inc;
-    CellWork work;
-    ASSERT_TRUE(inc.rebuildFrom(prev_knn,
-                                next.reorderedCloud().positions(),
-                                builder.delta(), &work));
-    SpatialHashKnn fresh;
-    fresh.rebuild(next.reorderedCloud().positions(), kcfg);
-    // Every non-empty cell was either remapped or re-bucketed (a
-    // re-bucketed cell may have emptied).
-    EXPECT_GT(work.rebuilt, 0u);
-    EXPECT_LE(work.reused, fresh.nonEmptyCells());
-    EXPECT_GE(work.reused + work.rebuilt, fresh.nonEmptyCells());
-
-    std::vector<PointIndex> centrals;
-    for (PointIndex i = 0; i < dc.points;
-         i += static_cast<PointIndex>(37))
-        centrals.push_back(i);
-    for (std::size_t k : {1u, 8u, 33u}) {
-        expectGatherIdentical(inc.gather(centrals, k),
-                              fresh.gather(centrals, k));
-    }
-    const PointCloud queries = randomCloud(64, 77);
-    expectGatherIdentical(inc.gatherAt(queries.positions(), 16),
-                          fresh.gatherAt(queries.positions(), 16));
-}
-
-TEST(CachedIndices, PatchedOccupancyMatchesFreshOracle)
-{
-    CoherentDrive::Config dc;
-    dc.points = 1800;
-    dc.churnFraction = 0.08;
-    dc.seed = 41;
-    const CoherentDrive drive(dc);
-    const Octree::Config ocfg = octreeConfig(10, 8);
-
-    Octree prev;
-    prev.rebuild(drive.generate(0).cloud, ocfg);
-    IncrementalOctreeBuilder builder;
-    const Frame f1 = drive.generate(1);
-    Octree next;
-    ASSERT_TRUE(builder.update(f1.cloud, &prev, ocfg, next));
-
-    for (int level = 1; level <= std::min(4, next.depth()); ++level) {
-        std::vector<OccupiedCell> prev_occ;
-        buildOccupiedCells(prev, level, prev_occ);
-        std::vector<OccupiedCell> patched;
-        CellWork work;
-        ASSERT_TRUE(patchOccupiedCells(next, level, prev, prev_occ,
-                                       builder.delta(), patched,
-                                       &work))
-            << "level " << level;
-        std::vector<OccupiedCell> fresh;
-        buildOccupiedCells(next, level, fresh);
-        ASSERT_EQ(patched.size(), fresh.size()) << "level " << level;
-        EXPECT_GT(work.rebuilt, 0u) << "level " << level;
-        EXPECT_LE(work.reused, fresh.size()) << "level " << level;
-        EXPECT_GE(work.reused + work.rebuilt, fresh.size())
-            << "level " << level;
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-            EXPECT_EQ(patched[i].cell, fresh[i].cell)
-                << "level " << level << " cell " << i;
-            EXPECT_EQ(patched[i].first, fresh[i].first)
-                << "level " << level << " cell " << i;
-            EXPECT_EQ(patched[i].last, fresh[i].last)
-                << "level " << level << " cell " << i;
-        }
-    }
-}
-
 // ------------------------------------------- carried state / pool
 
 TEST(TemporalState, CarriedFramesMatchCarrylessEngine)
@@ -399,52 +298,6 @@ TEST(TemporalState, CarriedFramesMatchCarrylessEngine)
     EXPECT_EQ(st.frames, 4u);
     EXPECT_EQ(st.octreeMisses, 1u); // only the cold first frame
     EXPECT_EQ(st.octreeHits, 3u);
-    EXPECT_EQ(st.knnIncremental + st.knnScratch, 4u);
-    EXPECT_EQ(st.occIncremental + st.occScratch, 4u);
-}
-
-TEST(TemporalState, CachedIndicesExposedAndCorrect)
-{
-    CoherentDrive::Config dc;
-    dc.points = 1500;
-    dc.churnFraction = 0.05;
-    dc.seed = 61;
-    const CoherentDrive drive(dc);
-
-    PreprocessingEngine::Config ec;
-    ec.octree = octreeConfig(10, 16);
-    const PreprocessingEngine engine(ec);
-    TemporalPreprocessState::Config tc;
-    tc.octree = ec.octree;
-    TemporalPreprocessState carry(tc);
-
-    engine.buildStage(drive.generate(0).cloud, &carry);
-    const PreprocessResult r1 =
-        engine.buildStage(drive.generate(1).cloud, &carry);
-    ASSERT_NE(r1.rawKnn, nullptr);
-    ASSERT_NE(r1.rawOcc, nullptr);
-    ASSERT_GE(r1.rawOccLevel, 0);
-
-    SpatialHashKnn oracle;
-    oracle.rebuild(r1.tree->reorderedCloud().positions(),
-                   SpatialHashKnn::Config{});
-    const PointCloud queries = randomCloud(32, 9);
-    expectGatherIdentical(r1.rawKnn->gatherAt(queries.positions(), 8),
-                          oracle.gatherAt(queries.positions(), 8));
-
-    std::vector<OccupiedCell> fresh;
-    buildOccupiedCells(*r1.tree, r1.rawOccLevel, fresh);
-    ASSERT_EQ(r1.rawOcc->size(), fresh.size());
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        EXPECT_EQ((*r1.rawOcc)[i].cell, fresh[i].cell);
-        EXPECT_EQ((*r1.rawOcc)[i].first, fresh[i].first);
-        EXPECT_EQ((*r1.rawOcc)[i].last, fresh[i].last);
-    }
-
-    // The VoxelGrid borrowed-list constructor serves the cached
-    // list through the normal accessor.
-    const VoxelGrid grid(*r1.tree, r1.rawOccLevel, r1.rawOcc.get());
-    EXPECT_EQ(grid.occupiedCells().size(), fresh.size());
 }
 
 TEST(TemporalState, SteadyStateLeasesDoNotGrowArenas)
@@ -515,7 +368,7 @@ TEST(TemporalState, KeyedSlotsMatchOneCarryPerSensor)
     // Interleaved sensors through one keyed state: every frame diffs
     // against its own sensor's last frame, so the cache does exactly
     // the work of one private carry per sensor — same hits, same
-    // subtree reuse, same cells saved.
+    // subtree reuse.
     constexpr std::size_t kSensors = 3;
     std::vector<CoherentDrive> drives;
     for (std::size_t s = 0; s < kSensors; ++s) {
@@ -547,10 +400,6 @@ TEST(TemporalState, KeyedSlotsMatchOneCarryPerSensor)
         sum.octreeHits += st.octreeHits;
         sum.nodesReused += st.nodesReused;
         sum.nodesErected += st.nodesErected;
-        sum.knnCellsReused += st.knnCellsReused;
-        sum.knnCellsRebuilt += st.knnCellsRebuilt;
-        sum.occCellsReused += st.occCellsReused;
-        sum.occCellsRebuilt += st.occCellsRebuilt;
     }
     const TemporalPreprocessState::Stats st = keyed.stats();
     EXPECT_EQ(st.octreeHits, 3u * kSensors);
@@ -559,47 +408,6 @@ TEST(TemporalState, KeyedSlotsMatchOneCarryPerSensor)
     EXPECT_EQ(st.nodesReused, sum.nodesReused);
     EXPECT_EQ(st.nodesErected, sum.nodesErected);
     EXPECT_GT(st.nodesReused, 0u);
-    EXPECT_EQ(st.knnCellsReused, sum.knnCellsReused);
-    EXPECT_EQ(st.knnCellsRebuilt, sum.knnCellsRebuilt);
-    EXPECT_EQ(st.occCellsReused, sum.occCellsReused);
-    EXPECT_EQ(st.occCellsRebuilt, sum.occCellsRebuilt);
-}
-
-TEST(TemporalState, CellCountersCountWorkSaved)
-{
-    // A scratch index build rebuilds every non-empty cell; a
-    // low-churn incremental frame remaps most cells and re-derives
-    // only the dirty ones.
-    CoherentDrive::Config dc;
-    dc.points = 2000;
-    dc.churnFraction = 0.01;
-    dc.seed = 111;
-    const CoherentDrive drive(dc);
-    TemporalPreprocessState::Config tc;
-    tc.octree = octreeConfig(10, 16);
-    TemporalPreprocessState carry(tc);
-
-    const auto first = carry.processFrame(drive.generate(0).cloud);
-    TemporalPreprocessState::Stats st = carry.stats();
-    EXPECT_EQ(st.knnCellsReused, 0u);
-    EXPECT_EQ(st.knnCellsRebuilt, first->rawKnn.nonEmptyCells());
-    EXPECT_EQ(st.occCellsReused, 0u);
-    EXPECT_EQ(st.occCellsRebuilt, first->rawOcc.size());
-
-    carry.processFrame(drive.generate(1).cloud);
-    const TemporalPreprocessState::Stats st1 = carry.stats();
-    ASSERT_EQ(st1.knnIncremental, 1u);
-    ASSERT_EQ(st1.occIncremental, 1u);
-    const std::uint64_t knn_reused = st1.knnCellsReused;
-    const std::uint64_t knn_rebuilt =
-        st1.knnCellsRebuilt - st.knnCellsRebuilt;
-    const std::uint64_t occ_reused = st1.occCellsReused;
-    const std::uint64_t occ_rebuilt =
-        st1.occCellsRebuilt - st.occCellsRebuilt;
-    EXPECT_GT(knn_reused, knn_rebuilt);
-    EXPECT_GT(knn_rebuilt, 0u);
-    EXPECT_GT(occ_reused, occ_rebuilt);
-    EXPECT_GT(occ_rebuilt, 0u);
 }
 
 TEST(TemporalState, ResetDropsEverySensorSlot)
