@@ -90,6 +90,26 @@ BM_OctreeBuild(benchmark::State &state)
 }
 BENCHMARK(BM_OctreeBuild)->Arg(10000)->Arg(100000);
 
+/** Pooled in-place rebuild, as the engines run it: a warm tree
+ * reuses every backing store, so only the build itself is timed. */
+void
+BM_OctreeRebuild(benchmark::State &state)
+{
+    const PointCloud cloud =
+        randomCloud(static_cast<std::size_t>(state.range(0)));
+    Octree::Config cfg;
+    cfg.maxDepth = 12;
+    cfg.leafCapacity = 64;
+    Octree tree = Octree::build(cloud, cfg);
+    for (auto _ : state) {
+        tree.rebuild(cloud, cfg);
+        benchmark::DoNotOptimize(tree.nodes().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_OctreeRebuild)->Arg(100000)->Arg(500000);
+
 void
 BM_OisSample(benchmark::State &state)
 {

@@ -6,9 +6,6 @@
 namespace hgpcn
 {
 
-static_assert(TemporalPreprocessState::kDefaultKey == -1,
-              "buildStage's default carry_key must be the unkeyed slot");
-
 PreprocessingEngine::PreprocessingEngine(const Config &config)
     : cfg(config), pool(std::make_shared<BundlePool>())
 {
@@ -28,16 +25,13 @@ PreprocessingEngine::process(const PointCloud &raw, std::size_t k) const
 
 PreprocessResult
 PreprocessingEngine::buildStage(const PointCloud &raw,
-                                TemporalPreprocessState *carry,
-                                std::int64_t carry_key) const
+                                TemporalPreprocessState *carry) const
 {
     PreprocessResult result;
 
     // Octree-build Unit (CPU): build + host-memory pre-configuration
-    // in one pass. With a carry, the build is incremental against
-    // the previous frame and the tree lives in the carry's pooled
-    // bundle; without one, the tree is rebuilt in place in a bundle
-    // of this engine's pool. Either way the tree (and every
+    // in one pass, rebuilt in place in a pooled bundle: the carry's
+    // when given, else this engine's. Either way the tree (and every
     // downstream output) is bit-identical to Octree::build.
     if (carry != nullptr) {
         HGPCN_ASSERT(
@@ -46,7 +40,7 @@ PreprocessingEngine::buildStage(const PointCloud &raw,
                     cfg.octree.leafCapacity,
             "carry octree config does not match the engine's");
         std::shared_ptr<PreprocessBundle> bundle =
-            carry->processFrame(raw, carry_key);
+            carry->processFrame(raw);
         result.tree =
             std::shared_ptr<Octree>(bundle, &bundle->tree);
     } else {

@@ -112,19 +112,15 @@ class PreprocessingEngine
      * this engine's pool (thread-safe; concurrent callers lease
      * distinct bundles).
      *
-     * @param carry Optional cross-frame cache
-     *   (core/temporal_preprocess.h): the octree comes from the
-     *   carry's pooled bundles, rebuilt incrementally when frames
-     *   cohere. Output is bit-identical to the carry-less path;
-     *   its octree config must match this engine's.
-     * @param carry_key The frame's sensor id: the carry diffs the
-     *   frame against the last frame built under the same key. The
-     *   default (TemporalPreprocessState::kDefaultKey) is the one
-     *   slot of an unkeyed stream.
+     * @param carry Optional per-stream pool
+     *   (core/temporal_preprocess.h): the octree is rebuilt into one
+     *   of its bundles instead of this engine's. Output is
+     *   bit-identical either way; its octree config must match this
+     *   engine's.
      */
     PreprocessResult buildStage(const PointCloud &raw,
-                                TemporalPreprocessState *carry = nullptr,
-                                std::int64_t carry_key = -1) const;
+                                TemporalPreprocessState *carry =
+                                    nullptr) const;
 
     /**
      * Down-sampling Unit half (FPGA): OIS-FPS @p partial's octree

@@ -16,9 +16,8 @@
  *
  * where D = P - 8 dynamic slots. Eight anchor slots pin the world
  * box corners with bitwise-stable positions, so every frame's AABB
- * — and hence the octree's cubified root bounds — is identical,
- * keeping the incremental octree builder's alignment guard
- * satisfied along the whole trace.
+ * — and hence the octree's cubified root bounds — is identical
+ * along the whole trace.
  *
  * Replacement positions follow a drifting ego (egoSpeedMps along a
  * circle inside the box), so churn is spatially localized the way

@@ -12,42 +12,8 @@ namespace hgpcn
 namespace
 {
 
-/**
- * LSD radix sort of (code, index) pairs by code, 8 bits per pass.
- * Only the passes covering @p key_bits run, and passes where every
- * key shares the byte are skipped. @p scratch is the ping-pong
- * buffer; both vectors keep their storage for reuse.
- */
-void
-radixSortPairs(std::vector<std::pair<morton::Code, PointIndex>> &keyed,
-               int key_bits,
-               std::vector<std::pair<morton::Code, PointIndex>> &scratch)
-{
-    const std::size_t n = keyed.size();
-    scratch.resize(n);
-    auto *src = &keyed;
-    auto *dst = &scratch;
-    const int passes = (key_bits + 7) / 8;
-    for (int pass = 0; pass < passes; ++pass) {
-        const int shift = pass * 8;
-        std::size_t counts[256] = {};
-        for (const auto &kv : *src)
-            ++counts[(kv.first >> shift) & 0xff];
-        if (counts[(*src)[0].first >> shift & 0xff] == n)
-            continue; // all keys share this byte
-        std::size_t offsets[256];
-        std::size_t running = 0;
-        for (int b = 0; b < 256; ++b) {
-            offsets[b] = running;
-            running += counts[b];
-        }
-        for (const auto &kv : *src)
-            (*dst)[offsets[(kv.first >> shift) & 0xff]++] = kv;
-        std::swap(src, dst);
-    }
-    if (src != &keyed)
-        keyed.swap(scratch);
-}
+/** Widest radix digit: a pass's 4096-entry histogram stays cached. */
+constexpr int kMaxDigitBits = 12;
 
 } // namespace
 
@@ -62,16 +28,96 @@ Octree::build(const PointCloud &cloud, const Config &config)
 std::size_t
 Octree::backingCapacity() const
 {
-    std::size_t total = scratch.keyed.capacity() +
-                        scratch.radix.capacity() +
-                        scratch.levels.capacity() + codes.capacity() +
-                        perm.capacity() + point_leaf.capacity() +
-                        node_store.capacity() + reordered.capacity() +
-                        live.capacity() + sampled.capacity() +
-                        consumed.capacity();
-    for (const auto &lvl : scratch.levels)
-        total += lvl.capacity();
-    return total;
+    return scratch.sorted.capacity() + scratch.counts.capacity() +
+           codes.capacity() +
+           perm.capacity() + point_leaf.capacity() +
+           node_store.capacity() + reordered.capacity() +
+           live.capacity() + sampled.capacity() + consumed.capacity();
+}
+
+void
+Octree::sortCodes(const PointCloud &cloud)
+{
+    const std::size_t n = cloud.size();
+    const int key_bits = 3 * cfg.maxDepth;
+    const int idx_bits = static_cast<int>(std::bit_width(n - 1));
+    // Radix path: a stable LSD sort of code << idx_bits | index on
+    // the code bits only. Otherwise (asked for, or the code and the
+    // index do not fit one 64-bit key) a comparison sort of the
+    // indices by (code, index). Both give the same order.
+    const bool packed = cfg.useRadixSort && key_bits + idx_bits <= 64;
+    const int passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+    const int digit_bits = (key_bits + passes - 1) / passes;
+    const std::size_t buckets = std::size_t{1} << digit_bits;
+    const std::uint64_t digit_mask = buckets - 1;
+    // The packed keys live in codes itself, ping-ponged with one
+    // scratch buffer; the comparison sort keeps its raw codes there.
+    auto &other = scratch.sorted;
+    auto &counts = scratch.counts;
+    codes.resize(n);
+    other.resize(n);
+    perm.resize(n);
+    counts.assign(packed ? passes * buckets : 0, 0u);
+
+    // The read pass: one m-code per point, packed with its index and
+    // its digits counted for every radix pass at once, or stored
+    // raw for the comparison sort.
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t code = morton::pointCode3(
+            cloud.position(static_cast<PointIndex>(i)), root_bounds,
+            cfg.maxDepth);
+        if (!packed) {
+            other[i] = code;
+            continue;
+        }
+        const std::uint64_t key = (code << idx_bits) | i;
+        codes[i] = key;
+        for (int p = 0; p < passes; ++p)
+            ++counts[p * buckets +
+                     ((key >> (idx_bits + p * digit_bits)) & digit_mask)];
+    }
+
+    if (!packed) {
+        for (std::size_t i = 0; i < n; ++i)
+            perm[i] = static_cast<PointIndex>(i);
+        std::sort(perm.begin(), perm.end(),
+                  [&other](PointIndex a, PointIndex b) {
+                      return other[a] != other[b] ? other[a] < other[b]
+                                                  : a < b;
+                  });
+        for (std::size_t i = 0; i < n; ++i)
+            codes[i] = other[perm[i]];
+        return;
+    }
+
+    // The keys start in ascending index order and every pass is
+    // stable, so equal codes keep it.
+    std::uint64_t *src = codes.data();
+    std::uint64_t *dst = other.data();
+    for (int p = 0; p < passes; ++p) {
+        const int shift = idx_bits + p * digit_bits;
+        std::uint32_t *offsets = counts.data() + p * buckets;
+        if (offsets[(src[0] >> shift) & digit_mask] == n)
+            continue; // every key shares this digit
+        std::uint32_t running = 0;
+        for (std::size_t b = 0; b < buckets; ++b) {
+            const std::uint32_t c = offsets[b];
+            offsets[b] = running;
+            running += c;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            dst[offsets[(src[i] >> shift) & digit_mask]++] = src[i];
+        std::swap(src, dst);
+    }
+
+    // Unpack in place: src may be codes itself, and each key is read
+    // before its slot is overwritten.
+    const std::uint64_t idx_mask = (std::uint64_t{1} << idx_bits) - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t key = src[i];
+        codes[i] = key >> idx_bits;
+        perm[i] = static_cast<PointIndex>(key & idx_mask);
+    }
 }
 
 void
@@ -92,43 +138,25 @@ Octree::rebuild(const PointCloud &cloud, const Config &config)
 
     const std::size_t n = cloud.size();
 
-    // Pass over the raw points: compute the full-depth m-code of each
-    // point. This is the single host-memory read pass of the
-    // Octree-build Unit.
-    auto &keyed = scratch.keyed;
-    keyed.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        keyed[i].first = morton::pointCode3(
-            cloud.position(static_cast<PointIndex>(i)), root_bounds,
-            config.maxDepth);
-        keyed[i].second = static_cast<PointIndex>(i);
-    }
+    // The single host-memory read pass of the Octree-build Unit
+    // computes the full-depth m-codes; sorting by m-code realises the
+    // Space-Filling-Curve traversal order of Fig. 5(b).
+    sortCodes(cloud);
     build_stats.add("octree.host_reads", n);
     build_stats.add("octree.code_computations", n);
-
-    // SFC ordering: sorting by m-code realises the Space-Filling-Curve
-    // traversal order of Fig. 5(b).
-    if (config.useRadixSort) {
-        radixSortPairs(keyed, 3 * config.maxDepth, scratch.radix);
-        // Three touches per element per byte pass (count, read,
-        // scatter).
+    if (cfg.useRadixSort) {
+        // The modeled CPU's byte-wise LSD radix sort: three touches
+        // per element per byte pass (count, read, scatter). The host
+        // sort's own digit width does not change the model.
         build_stats.add("octree.sort_ops",
                         n * static_cast<std::uint64_t>(
-                                (3 * config.maxDepth + 7) / 8) *
+                                (3 * cfg.maxDepth + 7) / 8) *
                             3);
     } else {
-        std::sort(keyed.begin(), keyed.end());
         build_stats.add("octree.sort_ops",
                         n > 1 ? static_cast<std::uint64_t>(
                                     n * std::bit_width(n - 1))
                               : 0);
-    }
-
-    codes.resize(n);
-    perm.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        codes[i] = keyed[i].first;
-        perm[i] = keyed[i].second;
     }
 
     // Host-memory pre-configuration: write the reorganized copy so
@@ -148,10 +176,7 @@ Octree::rebuild(const PointCloud &cloud, const Config &config)
     root.pointBegin = 0;
     root.pointEnd = static_cast<PointIndex>(n);
     node_store.push_back(root);
-    if (config.bottomUpBuild)
-        erectBottomUp();
-    else
-        processNode(0);
+    processNode(0);
 
     build_stats.set("octree.nodes", node_store.size());
     build_stats.set("octree.leaves", leaf_total);
@@ -167,93 +192,6 @@ Octree::rebuild(const PointCloud &cloud, const Config &config)
     // steady-state zero-alloc pin.
     if (cap_before > 0 && backingCapacity() > cap_before)
         FrameWorkspace::noteGrowth();
-}
-
-void
-Octree::erectBottomUp()
-{
-    const std::size_t n = codes.size();
-    const int depth = cfg.maxDepth;
-    auto &levels = scratch.levels;
-    if (levels.size() < static_cast<std::size_t>(depth) + 1)
-        levels.resize(depth + 1);
-
-    // Deepest level: one run per distinct full-depth code.
-    auto &deep = levels[depth];
-    deep.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (deep.empty() || deep.back().code != codes[i]) {
-            deep.push_back({codes[i], static_cast<PointIndex>(i),
-                            static_cast<PointIndex>(i + 1), kNoNode, 0});
-        } else {
-            deep.back().end = static_cast<PointIndex>(i + 1);
-        }
-    }
-
-    // Agglomerate upwards: each level's runs are the distinct
-    // (code >> 3) prefixes of the level below, carrying the merged
-    // point range, the occupied-octant mask and the index of their
-    // first child run (the pointerless NavVolume layout).
-    for (int lvl = depth - 1; lvl >= 0; --lvl) {
-        const auto &child = levels[lvl + 1];
-        auto &cur = levels[lvl];
-        cur.clear();
-        for (std::size_t j = 0; j < child.size(); ++j) {
-            const morton::Code pc = child[j].code >> 3;
-            if (cur.empty() || cur.back().code != pc) {
-                cur.push_back({pc, child[j].begin, child[j].end,
-                               static_cast<std::int32_t>(j), 0});
-            } else {
-                cur.back().end = child[j].end;
-            }
-            cur.back().mask |=
-                static_cast<std::uint8_t>(1u << (child[j].code & 7u));
-        }
-    }
-    HGPCN_ASSERT(levels[0].size() == 1, "agglomeration lost the root");
-
-    // DFS emission reproduces processNode()'s exact node order:
-    // siblings contiguous in ascending octant, then recurse in order.
-    emitRun(0, 0, levels[0][0]);
-}
-
-void
-Octree::emitRun(NodeIndex self, int level,
-                const BuildScratch::LevelRun &run)
-{
-    if (level > max_level)
-        max_level = level;
-
-    const std::uint32_t count = run.end - run.begin;
-    const bool subdivide =
-        level < cfg.maxDepth && count > cfg.leafCapacity;
-    if (!subdivide) {
-        ++leaf_total;
-        for (PointIndex i = run.begin; i < run.end; ++i)
-            point_leaf[i] = self;
-        return;
-    }
-
-    node_store[self].childMask = run.mask;
-    const NodeIndex first_child =
-        static_cast<NodeIndex>(node_store.size());
-    node_store[self].firstChild = first_child;
-
-    const int n_children = std::popcount(run.mask);
-    const auto &child_level = scratch.levels[level + 1];
-    for (int c = 0; c < n_children; ++c) {
-        const auto &cr = child_level[run.firstChild + c];
-        OctreeNode child;
-        child.code = cr.code;
-        child.level = static_cast<std::uint16_t>(level + 1);
-        child.parent = self;
-        child.pointBegin = cr.begin;
-        child.pointEnd = cr.end;
-        node_store.push_back(child);
-    }
-    for (int c = 0; c < n_children; ++c)
-        emitRun(first_child + c, level + 1,
-                child_level[run.firstChild + c]);
 }
 
 void

@@ -97,18 +97,13 @@ class Octree
         int maxDepth = 10;
         /** Stop subdividing voxels holding at most this many points. */
         std::uint32_t leafCapacity = 8;
-        /** Sort the m-codes with an LSD radix sort (O(n) passes)
-         * instead of comparison sorting; identical output, faster
-         * builds on large frames. */
+        /** Sort the m-codes with an LSD radix sort over packed
+         * (code << index bits | index) keys instead of comparison
+         * sorting; identical output, faster builds on large frames.
+         * Codes too wide to pack beside the index (3*maxDepth +
+         * bit_width(n-1) > 64 bits) take the comparison sort; the
+         * modeled octree.sort_ops charge follows this flag alone. */
         bool useRadixSort = true;
-
-        /** Erect the nodes bottom-up from the sorted codes
-         * (NavVolume-style pointerless agglomeration: one linear
-         * pass per level) instead of top-down recursion with
-         * per-octant binary searches. Identical output — pinned by
-         * tests/test_temporal.cc; the recursive builder remains the
-         * oracle. */
-        bool bottomUpBuild = true;
     };
 
     /**
@@ -252,28 +247,18 @@ class Octree
                                        morton::Code seed_code) const;
 
   private:
-    friend class IncrementalOctreeBuilder;
-
     /**
      * Build-time scratch retained across rebuild() calls so pooled
-     * trees sort and agglomerate with zero steady-state allocation.
-     * Copying a tree deliberately does not copy its scratch.
+     * trees sort with zero steady-state allocation. Copying a tree
+     * deliberately does not copy its scratch.
      */
     struct BuildScratch
     {
-        /** One maximal run of equal level-prefix codes. */
-        struct LevelRun
-        {
-            morton::Code code;      //!< code >> 3*(maxDepth-level)
-            PointIndex begin;       //!< reordered point range
-            PointIndex end;
-            std::int32_t firstChild; //!< index into the child level
-            std::uint8_t mask;      //!< occupied child octants
-        };
-
-        std::vector<std::pair<morton::Code, PointIndex>> keyed;
-        std::vector<std::pair<morton::Code, PointIndex>> radix;
-        std::vector<std::vector<LevelRun>> levels;
+        /** Radix ping-pong partner of codes (which holds the packed
+         * keys while sorting), or the raw codes on the comparison
+         * path. */
+        std::vector<std::uint64_t> sorted;
+        std::vector<std::uint32_t> counts; //!< one histogram per pass
 
         BuildScratch() = default;
         BuildScratch(const BuildScratch &) {}
@@ -302,12 +287,12 @@ class Octree
     /** Recursively subdivide node @p self or finalize it as a leaf. */
     void processNode(NodeIndex self);
 
-    /** Pointerless bottom-up erection over the sorted codes. */
-    void erectBottomUp();
-
-    /** Emit node @p self for @p run, recursing into its children. */
-    void emitRun(NodeIndex self, int level,
-                 const BuildScratch::LevelRun &run);
+    /**
+     * Compute every point's full-depth m-code in one read of
+     * @p cloud and sort them into codes/perm: ascending code, ties in
+     * ascending input index.
+     */
+    void sortCodes(const PointCloud &cloud);
 
     /** Sum of backing capacities — growth detection for rebuild(). */
     std::size_t backingCapacity() const;

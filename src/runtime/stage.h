@@ -37,11 +37,6 @@ struct FrameTask
      * outlives every task. */
     const Frame *frame = nullptr;
 
-    /** The frame's sensor id (StreamTraceIds::sensor): the key the
-     * build stage's temporal carry diffs the frame under. -1 when
-     * the stream carries no ids (one shared carry slot). */
-    std::int64_t sensor = -1;
-
     /** Filled progressively: build stage -> preprocess.tree/buildSec,
      * down-sample stage -> preprocess.sampled/dsu, inference stage
      * -> inference. */

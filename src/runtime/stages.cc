@@ -40,8 +40,7 @@ chargeFault(FrameTask &task, double solo_sec)
 double
 OctreeBuildStage::process(FrameTask &task) const
 {
-    task.result.preprocess =
-        pre.buildStage(task.frame->cloud, carry, task.sensor);
+    task.result.preprocess = pre.buildStage(task.frame->cloud);
     return task.result.preprocess.octreeBuildSec;
 }
 

@@ -36,27 +36,14 @@
 namespace hgpcn
 {
 
-class TemporalPreprocessState;
-
 /** Octree-build Unit on the host CPU. */
 class OctreeBuildStage
 {
   public:
-    /**
-     * @param engine Pre-processing engine (borrowed, not owned).
-     * @param carry_state Optional cross-frame preprocessing cache
-     *        (borrowed, core/temporal_preprocess.h): frames build
-     *        their octree incrementally against the previous frame
-     *        of the same sensor (FrameTask::sensor). Bit-identical
-     *        outputs; the carry guards its slots with its own
-     *        mutex.
-     */
+    /** @param engine Pre-processing engine (borrowed, not owned). */
     explicit OctreeBuildStage(const PreprocessingEngine &engine,
-                              std::string stage_resource = "cpu",
-                              TemporalPreprocessState *carry_state =
-                                  nullptr)
-        : pre(engine), res(std::move(stage_resource)),
-          carry(carry_state)
+                              std::string stage_resource = "cpu")
+        : pre(engine), res(std::move(stage_resource))
     {
     }
 
@@ -75,7 +62,6 @@ class OctreeBuildStage
   private:
     const PreprocessingEngine &pre;
     std::string res;
-    TemporalPreprocessState *carry;
     std::string nm = "octree-build";
 };
 

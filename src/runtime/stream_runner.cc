@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "core/temporal_preprocess.h"
 #include "obs/trace.h"
 
 namespace hgpcn
@@ -155,19 +154,6 @@ emitVirtualTrace(Tracer &tracer, const TimelineResult &timeline,
     }
 }
 
-/** Cross-frame cache matching the engine's octree policy, or null
- * when the runner is configured without one. */
-std::shared_ptr<TemporalPreprocessState>
-makeCarry(const PreprocessingEngine &preprocess,
-          const StreamRunner::Config &cfg)
-{
-    if (!cfg.temporalCache)
-        return nullptr;
-    TemporalPreprocessState::Config tc;
-    tc.octree = preprocess.config().octree;
-    return std::make_shared<TemporalPreprocessState>(tc);
-}
-
 /** Down-sampling device: the FPGA, split into its DSU half only
  * when an FPGA-resident backend runs unshared. */
 std::string
@@ -256,19 +242,13 @@ RuntimeReport::toString() const
             << "%, queue mean " << st.meanQueueDepth << " peak "
             << st.peakQueueDepth << "\n";
     }
-    // Absent without a temporal carry, keeping legacy output exact.
-    if (temporalSubtreeReusePct >= 0.0) {
-        oss << "temporal: subtree reuse " << temporalSubtreeReusePct
-            << "%\n";
-    }
     return oss.str();
 }
 
 StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
                            const ExecutionBackend &backend,
                            const Config &config)
-    : cfg(config), carry(makeCarry(preprocess, config)),
-      build(preprocess, "cpu", carry.get()),
+    : cfg(config), build(preprocess, "cpu"),
       sample(preprocess, config.inputPoints,
              sampleResource(backend, config), &streamWorkload),
       infer(backend, inferResource(backend, config), &workspacePool,
@@ -282,8 +262,6 @@ StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
     HGPCN_ASSERT(cfg.maxBatch >= 1, "maxBatch must be >= 1");
     HGPCN_ASSERT(cfg.batchTimeoutVirtualSec >= 0.0,
                  "batchTimeoutVirtualSec must be >= 0");
-    if (carry)
-        carry->setObservability(&metricsReg, cfg.traceShard);
 }
 
 StreamRunner::Config
@@ -319,8 +297,8 @@ StreamRunner::run(const std::vector<Frame> &frames,
     out.report.paced = cfg.paceBySensor;
     out.report.framesIn = frames.size();
     // Fresh registry per run (the runner-reuse contract): the
-    // temporal carry and the sections below write into it, and the
-    // final snapshot is the report's source of truth.
+    // sections below write into it, and the final snapshot is the
+    // report's source of truth.
     metricsReg.clear();
     if (frames.empty()) {
         out.metrics = metricsReg.snapshot();
@@ -366,8 +344,6 @@ StreamRunner::run(const std::vector<Frame> &frames,
         task.index = i;
         task.frame = &frames[i];
         task.stageCostSec.assign(3, 0.0);
-        if (trace_ids != nullptr)
-            task.sensor = trace_ids->sensor[i];
         if (faults != nullptr)
             task.fault = (*faults)[i];
     }
@@ -598,18 +574,6 @@ StreamRunner::run(const std::vector<Frame> &frames,
     rep.p95LatencySec = lat.p95;
     rep.p99LatencySec = lat.p99;
     rep.maxLatencySec = lat.max;
-
-    // Temporal-cache attribution, read back from the registry the
-    // carry wrote into during the functional run.
-    const std::uint64_t reused =
-        out.metrics.countOf("temporal.nodes.reused");
-    const std::uint64_t erected =
-        out.metrics.countOf("temporal.nodes.erected");
-    if (reused + erected > 0) {
-        rep.temporalSubtreeReusePct =
-            100.0 * static_cast<double>(reused) /
-            static_cast<double>(reused + erected);
-    }
     return out;
 }
 

@@ -131,12 +131,6 @@ struct RuntimeReport
     /** Per-stage load, in dataflow order. */
     std::vector<TimelineStageStats> stages;
 
-    // Temporal-cache attribution, read back from the run's metrics
-    // registry ("temporal.*" counters): the share of octree nodes
-    // reused rather than re-erected. -1 = not applicable (cache off
-    // or no carried frames); a percentage in [0, 100] otherwise.
-    double temporalSubtreeReusePct = -1;
-
     // Batch-occupancy attribution of the inference stage, from the
     // virtual schedule. Defaults (and an absent toString() line)
     // when configuredMaxBatch == 1.
@@ -160,7 +154,7 @@ struct RuntimeResult
     /** Aggregated workload counters across all frames. */
     StatSet workload;
     /** The run's metrics registry, frozen: frame/drop/batch
-     * counters, stall attribution gauges, temporal-cache telemetry.
+     * counters, stall attribution gauges.
      * ServingResult merges these shard-wise. */
     MetricsSnapshot metrics;
     /** One row per input frame, in stream order (indices are
@@ -171,9 +165,8 @@ struct RuntimeResult
 /**
  * Optional per-frame identity, parallel to the input stream. A
  * ShardedRunner passes each shard's global frame indices and sensor
- * ids. The sensor id keys the temporal carry (one carried frame per
- * sensor), and both ids tag trace events so the shard's spans carry
- * fleet-level ids instead of shard-local positions.
+ * ids. Both tag trace events and ledger rows, so the shard's spans
+ * carry fleet-level ids instead of shard-local positions.
  */
 struct StreamTraceIds
 {
@@ -232,15 +225,6 @@ class StreamRunner
          * parallelism share the host sensibly. */
         int intraOpThreads = 1;
 
-        /** Carry pre-processing indices across frames
-         * (core/temporal_preprocess.h): each frame's octree is
-         * rebuilt incrementally against the previous frame of the
-         * same sensor (one carried slot per sensor id passed to
-         * run(); one slot without ids) and the storage is pooled.
-         * Wall-clock only — every output bit is identical either
-         * way. */
-        bool temporalCache = true;
-
         /** Cross-sensor micro-batching: frames coalesced per
          * inference pass. 1 (default) disables batching — timeline
          * and report are byte-identical to a build without the
@@ -287,9 +271,8 @@ class StreamRunner
      * @param on_frame Optional per-frame hook, called in stream
      *        order on the calling thread.
      * @param trace_ids Optional fleet-level frame/sensor ids (see
-     *        StreamTraceIds): sensor ids key the temporal carry and
-     *        both tag trace events; sizes must match @p frames when
-     *        given. Without ids every frame shares one carry slot.
+     *        StreamTraceIds): both tag trace events and ledger
+     *        rows; sizes must match @p frames when given.
      * @param faults Optional resolved per-frame fault directives,
      *        parallel to @p frames (serving/failover.h): retries,
      *        backoff and slowdown are charged as virtual time on
@@ -346,9 +329,6 @@ class StreamRunner
      * warm across frames and runs (declared before the stages that
      * borrow it). */
     WorkspacePool workspacePool;
-    /** Cross-frame pre-processing cache (null when temporalCache is
-     * off; declared before the build stage that borrows it). */
-    std::shared_ptr<TemporalPreprocessState> carry;
     OctreeBuildStage build;
     DownSampleStage sample;
     InferenceStage infer;

@@ -248,9 +248,8 @@ ShardedRunner::serve(const SensorStream &stream,
     }
 
     // Every shard also gets its sub-stream's fleet-level frame and
-    // sensor ids: the sensor ids key the shard's temporal carry, and
-    // both make shard spans attributable without the globalIndex
-    // mapping.
+    // sensor ids: they make shard spans and ledger rows attributable
+    // without the globalIndex mapping.
     std::vector<std::vector<Frame>> sub(n_shards);
     std::vector<StreamTraceIds> trace_ids(n_shards);
     std::vector<std::vector<FrameFaultDirective>> shard_faults(

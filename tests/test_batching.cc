@@ -358,24 +358,20 @@ TEST(StreamBatching, OutputsBitIdenticalAcrossMaxBatch)
     for (const std::size_t max_batch : {std::size_t{2},
                                         std::size_t{4},
                                         std::size_t{8}}) {
-        for (const bool temporal : {true, false}) {
-            StreamRunner::Config rc = base;
-            rc.maxBatch = max_batch;
-            rc.temporalCache = temporal;
-            const RuntimeResult rt = system.runStream(frames, rc);
-            ASSERT_EQ(rt.frames.size(), frames.size())
-                << "maxBatch " << max_batch;
-            for (std::size_t i = 0; i < frames.size(); ++i) {
-                const E2eResult &a = reference.frames[i].result;
-                const E2eResult &b = rt.frames[i].result;
-                EXPECT_EQ(rt.frames[i].index, i);
-                EXPECT_EQ(b.inference.output.labels,
-                          a.inference.output.labels)
-                    << "maxBatch " << max_batch << " temporal "
-                    << temporal << " frame " << i;
-                // Modeled per-frame numbers unchanged by batching.
-                EXPECT_DOUBLE_EQ(b.totalSec(), a.totalSec());
-            }
+        StreamRunner::Config rc = base;
+        rc.maxBatch = max_batch;
+        const RuntimeResult rt = system.runStream(frames, rc);
+        ASSERT_EQ(rt.frames.size(), frames.size())
+            << "maxBatch " << max_batch;
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            const E2eResult &a = reference.frames[i].result;
+            const E2eResult &b = rt.frames[i].result;
+            EXPECT_EQ(rt.frames[i].index, i);
+            EXPECT_EQ(b.inference.output.labels,
+                      a.inference.output.labels)
+                << "maxBatch " << max_batch << " frame " << i;
+            // Modeled per-frame numbers unchanged by batching.
+            EXPECT_DOUBLE_EQ(b.totalSec(), a.totalSec());
         }
     }
 }

@@ -24,6 +24,8 @@
 #include "sim/down_sampling_unit.h"
 #include "sim/fcu_dla.h"
 
+#include "octree_equality.h"
+
 namespace hgpcn
 {
 namespace
@@ -82,21 +84,96 @@ TEST(NaiveFps, FarMoreTrafficThanCached)
 
 // ------------------------------------------------------ radix sort
 
+Octree::Config
+sortConfig(int depth, std::uint32_t leaf_capacity, bool radix)
+{
+    Octree::Config cfg;
+    cfg.maxDepth = depth;
+    cfg.leafCapacity = leaf_capacity;
+    cfg.useRadixSort = radix;
+    return cfg;
+}
+
+/** Radix build of @p cloud against the comparison-sort build. */
+void
+expectRadixMatchesComparison(const PointCloud &cloud, int depth,
+                             std::uint32_t leaf_capacity)
+{
+    expectTreesIdentical(
+        Octree::build(cloud, sortConfig(depth, leaf_capacity, true)),
+        Octree::build(cloud, sortConfig(depth, leaf_capacity, false)));
+}
+
 TEST(RadixBuild, IdenticalToComparisonSort)
 {
-    const PointCloud cloud = randomCloud(3000, 4);
-    Octree::Config radix_cfg;
-    radix_cfg.maxDepth = 9;
-    radix_cfg.useRadixSort = true;
-    Octree::Config std_cfg = radix_cfg;
-    std_cfg.useRadixSort = false;
+    const std::size_t sizes[] = {1, 2, 7, 64, 500, 3000};
+    for (std::size_t n : sizes) {
+        for (int depth : {2, 6, 9, 12}) {
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " depth=" << depth);
+            expectRadixMatchesComparison(randomCloud(n, 17 * n + depth),
+                                         depth, 8);
+        }
+    }
+}
 
-    const Octree a = Octree::build(cloud, radix_cfg);
-    const Octree b = Octree::build(cloud, std_cfg);
-    ASSERT_EQ(a.pointCodes().size(), b.pointCodes().size());
-    EXPECT_EQ(a.pointCodes(), b.pointCodes());
-    EXPECT_EQ(a.permutation(), b.permutation());
-    EXPECT_EQ(a.nodes().size(), b.nodes().size());
+TEST(RadixBuild, IdenticalToComparisonSortOnCoincidentPoints)
+{
+    // All duplicates collapse to one full-depth code: that voxel is
+    // a leaf regardless of leafCapacity.
+    PointCloud cloud;
+    for (int i = 0; i < 100; ++i)
+        cloud.add({0.25f, 0.5f, 0.75f});
+    // A second pile plus singles: ranges of every shape.
+    for (int i = 0; i < 40; ++i)
+        cloud.add({0.8f, 0.8f, 0.8f});
+    Rng rng(3);
+    for (int i = 0; i < 30; ++i)
+        cloud.add({rng.uniform(0.0f, 1.0f), rng.uniform(0.0f, 1.0f),
+                   rng.uniform(0.0f, 1.0f)});
+    expectRadixMatchesComparison(cloud, 6, 4);
+}
+
+TEST(RadixBuild, IdenticalOnBothSidesOfThePackedKeyWidth)
+{
+    // The radix sort packs code << bit_width(n-1) | index into 64
+    // bits and falls back to the comparison sort past that width.
+    struct Case
+    {
+        int depth;
+        std::size_t n;
+    };
+    const Case cases[] = {
+        {21, 1},      // 63 code bits + 0 index bits: packed
+        {21, 2},      // 63 + 1 = 64: packed, widest key
+        {21, 3},      // 63 + 2 = 65: fallback
+        {21, 500},    // fallback
+        {16, 65536},  // 48 + 16 = 64: packed
+        {16, 200000}, // 48 + 18 = 66: fallback
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "depth=" << c.depth << " n=" << c.n);
+        // The last point repeats the first, so their codes tie: ties
+        // keep input order.
+        PointCloud cloud =
+            randomCloud(c.n > 2 ? c.n - 1 : c.n, c.n + c.depth);
+        if (c.n > 2) {
+            const Vec3 first = cloud.position(0);
+            cloud.add(first);
+        }
+        const Octree tree =
+            Octree::build(cloud, sortConfig(c.depth, 64, true));
+        expectTreesIdentical(
+            tree, Octree::build(cloud, sortConfig(c.depth, 64, false)));
+        const auto &codes = tree.pointCodes();
+        const auto &perm = tree.permutation();
+        for (std::size_t i = 1; i < codes.size(); ++i) {
+            if (codes[i - 1] == codes[i]) {
+                ASSERT_LT(perm[i - 1], perm[i]) << "point " << i;
+            }
+        }
+    }
 }
 
 TEST(RadixBuild, StableForDuplicateCodes)

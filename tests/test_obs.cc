@@ -359,9 +359,6 @@ TEST(ObsRuntime, ReportCountsComeFromMetrics)
     ASSERT_NE(rt.metrics.find("timeline.makespan_sec"), nullptr);
     EXPECT_DOUBLE_EQ(rt.metrics.find("timeline.makespan_sec")->value,
                      rt.report.makespanSec);
-    // Temporal-cache attribution flows registry -> report.
-    EXPECT_EQ(rt.metrics.countOf("temporal.frames"),
-              rt.report.framesProcessed);
 }
 
 TEST(ObsRuntime, TracingDoesNotMoveTheModeledSchedule)

@@ -327,19 +327,6 @@ TEST(StreamRunner, BatchModeVerdictIsNotApplicable)
     EXPECT_EQ(text.find("real-time: YES"), std::string::npos);
 }
 
-TEST(RuntimeReport, TemporalLineReportsSubtreeReuse)
-{
-    // The line appears only once a carried frame reused or erected
-    // octree nodes, and reports that share alone.
-    RuntimeReport rep;
-    EXPECT_EQ(rep.toString().find("temporal:"), std::string::npos);
-    rep.temporalSubtreeReusePct = 12.5;
-    const std::string text = rep.toString();
-    const std::size_t at = text.find("temporal: subtree reuse 12.5");
-    ASSERT_NE(at, std::string::npos) << text;
-    EXPECT_EQ(text.find('|', at), std::string::npos) << text;
-}
-
 StreamRunner::Config
 runnerConfig(const HgPcnSystem &system, std::size_t max_batch = 1)
 {
@@ -464,8 +451,7 @@ TEST(StreamRunner, SteadyStateIsArenaAllocationFree)
     // again — the counting hook on the arena backing stores is the
     // witness. Single-worker config so exactly one workspace serves
     // every frame deterministically. Two inputs: one unkeyed sensor,
-    // and three interleaved coherent sensors whose ids key the
-    // temporal carry (one carried bundle per sensor).
+    // and three interleaved coherent sensors with fleet ids.
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, tinyClassifier());
     const auto expect_steady = [&](const std::vector<Frame> &frames,
@@ -504,12 +490,7 @@ TEST(StreamRunner, SteadyStateIsArenaAllocationFree)
             interleaved.push_back(std::move(frame));
         }
     }
-    // A coherent stream needs two warm-up runs: each sensor's first
-    // frame of a re-run diffs incrementally against its last frame
-    // of the previous run — a wider delta, on a code path the first
-    // run (cold, scratch first frames) never took. From the second
-    // run on, every diff repeats.
-    expect_steady(interleaved, &ids, 2);
+    expect_steady(interleaved, &ids, 1);
 }
 
 } // namespace

@@ -51,6 +51,9 @@ RULES = {
         # dominated (can go negative). The hard bound is the bench's
         # own --assert-tracer-overhead gate, not the trend.
         (r"^tracerOverheadPct$", ("ignore",)),
+        # Per-pair median and range of the same difference: recorded
+        # to show its spread, not gated.
+        (r"^tracerOverhead(Median|Range)Pct$", ("ignore",)),
     ],
     "microbench_kernels": [
         (r"\.ns_per_op$", ("lower", 0.25)),
@@ -66,12 +69,9 @@ RULES = {
         # widthTrajectory/scaleEvents, which stay exact.
         (r"^elastic\.decisionLog\[", ("ignore",)),
     ],
-    # preprocess_coherence stores deterministic fields only -- the
-    # default exact rules double as its determinism check.
-    "preprocess_coherence": [],
     # batching_throughput reports the virtual-time schedule only
-    # (wall-clock is stdout-only by design): exact rules are the
-    # determinism check, like preprocess_coherence.
+    # (wall-clock is stdout-only by design): the default exact rules
+    # double as its determinism check.
     "batching_throughput": [],
     # serving_faults records the faulted virtual schedule: the
     # completion ratio, fault/retry/failover counters and modeled
@@ -178,6 +178,8 @@ def self_test():
         "wallClockFps": 2.2,
         "wallClockFpsTraced": 2.1,
         "tracerOverheadPct": 1.2,
+        "tracerOverheadMedianPct": 0.8,
+        "tracerOverheadRangePct": 3.5,
         "pacedModeledFps": 11.297,
         "traceVirtualEvents": 24,
     }
@@ -203,6 +205,9 @@ def self_test():
                             wallClockFpsTraced=2.6), False)
     case("ignored key may move freely",
          lambda f: f.update(tracerOverheadPct=-3.0), False)
+    case("per-pair overhead spread may move freely",
+         lambda f: f.update(tracerOverheadMedianPct=-9.0,
+                            tracerOverheadRangePct=40.0), False)
     case("dropped committed key fails",
          lambda f: f.pop("traceVirtualEvents"), True)
 
